@@ -2,9 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <deque>
 #include <functional>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <thread>
 
@@ -135,115 +138,190 @@ class JobWatchdog
     std::thread thread_;
 };
 
-/** Programs used by a plan, keyed by workload, built once and
- *  pre-decoded so worker threads share them read-only. */
-std::map<std::string, Program>
-buildPrograms(const SweepPlan &plan)
+/** @p workload's program under @p plan, pre-decoded so worker
+ *  threads share it read-only. */
+Program
+loadProgram(const SweepPlan &plan, const std::string &workload)
 {
-    std::map<std::string, Program> programs;
-    for (const SweepJob &job : plan.jobs) {
-        if (programs.count(job.workload))
-            continue;
-        Program prog =
-            buildWorkload(job.workload, plan.scale, plan.footprint);
-        prog.predecodeAll();
-        programs.emplace(job.workload, std::move(prog));
+    Program prog = buildWorkload(workload, plan.scale, plan.footprint);
+    prog.predecodeAll();
+    return prog;
+}
+
+/** A plan's workloads in first-use (plan) order, with their jobs. */
+struct PlanWorkloads
+{
+    std::vector<std::string> names;              ///< first-use order
+    std::vector<std::size_t> ofJob;              ///< job -> ordinal
+    std::vector<std::vector<std::size_t>> jobs;  ///< ordinal -> jobs
+
+    explicit PlanWorkloads(const SweepPlan &plan) : ofJob(plan.jobs.size())
+    {
+        std::map<std::string, std::size_t> ordinal;
+        for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+            const auto [it, fresh] =
+                ordinal.emplace(plan.jobs[i].workload, names.size());
+            if (fresh) {
+                names.push_back(plan.jobs[i].workload);
+                jobs.emplace_back();
+            }
+            ofJob[i] = it->second;
+            jobs[it->second].push_back(i);
+        }
     }
-    return programs;
+};
+
+/** A warning raised by a capture unit. Units buffer them per workload
+ *  and printNotes() emits them in plan order after the pool joins, so
+ *  stderr does not depend on scheduling. */
+struct Note
+{
+    std::string text;
+    bool once = false; ///< at most once per process (warn_once)
+};
+
+void
+printNotes(const std::vector<std::vector<Note>> &notes)
+{
+    for (const std::vector<Note> &ws : notes)
+        for (const Note &n : ws) {
+            if (n.once)
+                warn_once(n.text);
+            else
+                warn(n.text);
+        }
 }
 
 /**
- * Capture (or reuse from disk) one warmed checkpoint per workload.
- * The warm-up configuration is the workload's first engine-enabled
- * job (falling back to its first job) — a deterministic choice, so
- * snapshots never depend on scheduling. Workloads whose program runs
- * to HALT inside the warm-up get no checkpoint and fall back to cold
- * full runs.
+ * One-boundary checkpoint capture unit: capture (or reuse from disk)
+ * the warmed checkpoint of @p workload. The warm-up configuration is
+ * the workload's first engine-enabled job (falling back to its first
+ * job) — a deterministic choice, so snapshots never depend on
+ * scheduling. A workload whose program runs to HALT inside the
+ * warm-up gets an empty image: its jobs fall back to cold full runs.
  *
  * Cached snapshot files are keyed by (workload, scale, warm-up
  * length) and validated against the current program and geometry
  * before being trusted; a stale or foreign file is recaptured and
- * overwritten, never silently reused.
+ * overwritten, never silently reused. @p captured is set when the
+ * image was taken now rather than reused.
  */
-std::map<std::string, std::vector<std::uint8_t>>
-captureCheckpoints(const SweepPlan &plan, const ExecOptions &opt,
-                   const std::map<std::string, Program> &programs,
-                   ExecMetrics *metrics)
+std::vector<std::uint8_t>
+captureCheckpoint(const SweepPlan &plan, const ExecOptions &opt,
+                  const std::string &workload, const Program &prog,
+                  bool &captured, std::vector<Note> &notes)
 {
-    std::map<std::string, std::vector<std::uint8_t>> checkpoints;
-    for (const SweepJob &job : plan.jobs) {
-        if (checkpoints.count(job.workload))
-            continue;
+    const CoreConfig cfg = warmConfig(plan, opt, workload);
 
-        // Deterministic warm-up config for this workload.
-        const CoreConfig cfg = warmConfig(plan, opt, job.workload);
-        const Program &prog = programs.at(job.workload);
+    // The cache key includes every option that shapes the warm-up
+    // run itself: a snapshot captured under a different chaining
+    // mode holds differently-warmed caches and TL state.
+    const std::string path =
+        opt.checkpointDir.empty()
+            ? std::string()
+            : opt.checkpointDir + "/" + workload + ".s" +
+                  std::to_string(plan.scale) + ".w" +
+                  std::to_string(opt.warmupInsts) +
+                  (opt.eagerChain ? ".eager" : "") + ".ckpt";
 
-        // The cache key includes every option that shapes the warm-up
-        // run itself: a snapshot captured under a different chaining
-        // mode holds differently-warmed caches and TL state.
-        const std::string path =
-            opt.checkpointDir.empty()
-                ? std::string()
-                : opt.checkpointDir + "/" + job.workload + ".s" +
-                      std::to_string(plan.scale) + ".w" +
-                      std::to_string(opt.warmupInsts) +
-                      (opt.eagerChain ? ".eager" : "") + ".ckpt";
-
-        std::vector<std::uint8_t> bytes;
-        if (!path.empty()) {
-            const auto st = Checkpoint::load(path, bytes);
-            if (st == Checkpoint::LoadStatus::Ok) {
-                Simulator probe(cfg, prog);
-                if (Checkpoint::validate(probe, bytes)) {
-                    checkpoints.emplace(job.workload, std::move(bytes));
-                    continue;
-                }
-                warn("cached checkpoint ", path,
-                     " is stale; recapturing");
-            } else if (st == Checkpoint::LoadStatus::Corrupt) {
-                // A missing file is the normal cold-cache path; a
-                // present-but-damaged one means something poisoned
-                // the cache and deserves visibility.
-                warn_once("cached checkpoint ", path,
-                          " is corrupt (torn or truncated write?); "
-                          "recapturing");
-            }
-            bytes.clear();
+    std::vector<std::uint8_t> bytes;
+    if (!path.empty()) {
+        const auto st = Checkpoint::load(path, bytes);
+        if (st == Checkpoint::LoadStatus::Ok) {
+            Simulator probe(cfg, prog);
+            if (Checkpoint::validate(probe, bytes))
+                return bytes;
+            notes.push_back(
+                {"cached checkpoint " + path + " is stale; recapturing"});
+        } else if (st == Checkpoint::LoadStatus::Corrupt) {
+            // A missing file is the normal cold-cache path; a
+            // present-but-damaged one means something poisoned the
+            // cache and deserves visibility.
+            notes.push_back({"cached checkpoint " + path +
+                                 " is corrupt (torn or truncated "
+                                 "write?); recapturing",
+                             true});
         }
-
-        Simulator sim(cfg, prog);
-        if (!sim.warmup(opt.warmupInsts, opt.maxCycles)) {
-            warn("workload '", job.workload,
-                 "' reached no warm-up boundary (program finished or "
-                 "budget elapsed); running its jobs without a "
-                 "checkpoint");
-            checkpoints.emplace(job.workload,
-                                std::vector<std::uint8_t>{});
-            continue;
-        }
-        bytes = Checkpoint::capture(sim);
-        if (metrics) {
-            ++metrics->checkpointCaptures;
-            metrics->checkpointCaptureBytes += bytes.size();
-        }
-        if (!path.empty() && !Checkpoint::save(path, bytes))
-            warn("could not write checkpoint ", path);
-        checkpoints.emplace(job.workload, std::move(bytes));
+        bytes.clear();
     }
-    return checkpoints;
+
+    Simulator sim(cfg, prog);
+    if (!sim.warmup(opt.warmupInsts, opt.maxCycles)) {
+        notes.push_back({"workload '" + workload +
+                         "' reached no warm-up boundary (program "
+                         "finished or budget elapsed); running its "
+                         "jobs without a checkpoint"});
+        return {};
+    }
+    bytes = Checkpoint::capture(sim);
+    captured = true;
+    if (!path.empty() && !Checkpoint::save(path, bytes))
+        notes.push_back({"could not write checkpoint " + path});
+    return bytes;
 }
 
-/** Run @p worker on min(jobs, units) pool threads (1 = inline). */
-void
-runOnPool(unsigned jobs, std::size_t units,
-          const std::function<void()> &worker)
+/** One pool unit: a workload's capture, or a run of one job (the
+ *  whole job, or one sample fork of it). */
+struct Unit
 {
+    bool capture = false;
+    std::size_t index = 0; ///< capture: workload ordinal; run: job
+    int sample = -1;       ///< run: -1 full run, else the sample
+};
+
+/**
+ * The executor's one scheduler: pool threads drain a ready queue. The
+ * queue starts with one capture unit per workload, in plan order, so
+ * the long captures start first. A capture unit builds its workload's
+ * program, captures the workload's snapshots when the mode uses them,
+ * and returns the workload's run units, which its thread appends to
+ * the back of the queue. A thread that finds the queue empty waits
+ * while a capture is still running (it may release more work) and
+ * exits once none is. Units write only their own result slots, so
+ * results do not depend on which thread ran what.
+ *
+ * @param max_units upper bound on all units, captures included; the
+ *        pool gets min(jobs, max_units) threads (1 runs inline).
+ * @return the number of pool threads used.
+ */
+unsigned
+drainUnits(unsigned jobs, std::size_t workloads, std::size_t max_units,
+           const std::function<std::vector<Unit>(std::size_t)> &capture,
+           const std::function<void(const Unit &)> &run)
+{
+    std::deque<Unit> queue;
+    for (std::size_t w = 0; w < workloads; ++w)
+        queue.push_back({true, w, -1});
+    std::size_t capturing = workloads; // capture units not yet finished
+    std::mutex m;
+    std::condition_variable cv;
+
+    auto worker = [&]() {
+        std::unique_lock<std::mutex> lk(m);
+        for (;;) {
+            cv.wait(lk, [&] { return !queue.empty() || capturing == 0; });
+            if (queue.empty())
+                return;
+            const Unit u = queue.front();
+            queue.pop_front();
+            lk.unlock();
+            if (!u.capture) {
+                run(u);
+                lk.lock();
+                continue;
+            }
+            const std::vector<Unit> more = capture(u.index);
+            lk.lock();
+            queue.insert(queue.end(), more.begin(), more.end());
+            --capturing;
+            cv.notify_all();
+        }
+    };
     const unsigned nthreads =
-        unsigned(std::min<std::size_t>(std::max(1u, jobs), units));
+        unsigned(std::min<std::size_t>(std::max(1u, jobs), max_units));
     if (nthreads <= 1) {
         worker();
-        return;
+        return nthreads;
     }
     std::vector<std::thread> pool;
     pool.reserve(nthreads);
@@ -251,140 +329,156 @@ runOnPool(unsigned jobs, std::size_t units,
         pool.emplace_back(worker);
     for (std::thread &t : pool)
         t.join();
+    return nthreads;
 }
 
 /**
- * Interval-sampled plan execution: one serial capture pass per
- * workload (under its deterministic warm-up configuration), then a
- * pool over every (job, sample) pair — each fork restores one sample
- * snapshot and measures its region — and a plan-ordered aggregation.
- * Jobs whose configuration cannot restore the snapshots (geometry
- * mismatch) fall back to exact full runs, visible via samples == 0.
+ * Interval-sampled plan execution on one ready queue: a capture unit
+ * per workload (under its deterministic warm-up configuration) heads
+ * the queue. When it finishes, its thread validates the snapshots
+ * against each of the workload's distinct configurations and queues
+ * the workload's run units — one per (job, sample), each restoring one
+ * sample snapshot and measuring its region — so other workloads' forks
+ * run while the longest captures are still going. Jobs whose
+ * configuration cannot restore the snapshots (geometry mismatch), and
+ * every job of a workload whose capture fell back, run as exact full
+ * runs, visible via samples == 0. Aggregation is a plan-ordered fold
+ * after the pool joins.
  */
 std::vector<RunOutcome>
 runPlanSampled(const SweepPlan &plan, const ExecOptions &opt,
-               const std::map<std::string, Program> &programs,
                ExecMetrics *metrics)
 {
-    // Capture pass (serial, scheduling-independent): the warm-up
-    // configuration is the workload's first engine-enabled job, as in
-    // the one-boundary checkpoint path.
-    std::map<std::string, SampleSet> sets;
-    for (const SweepJob &job : plan.jobs) {
-        if (sets.count(job.workload))
-            continue;
-        const CoreConfig cfg = warmConfig(plan, opt, job.workload);
-        SamplePlan sp = opt.sample;
-        sp.warmupInsts = opt.warmupInsts;
-        sets.emplace(job.workload,
-                     captureSamples(cfg, programs.at(job.workload), sp,
-                                    opt.maxCycles));
-    }
+    const PlanWorkloads wl(plan);
+    const std::size_t nw = wl.names.size();
+    const std::size_t nj = plan.jobs.size();
+    SamplePlan sp = opt.sample;
+    sp.warmupInsts = opt.warmupInsts;
 
-    // Decide each job's mode up front (serial, so fallbacks never
-    // depend on scheduling): sampled when the snapshots validate
-    // against the job's configuration, exact full run otherwise.
-    // Validation needs a Simulator (it binds program identity and
-    // geometry), so cache the verdict per distinct (workload, config)
-    // — a figure grid shares each configuration across jobs.
-    std::vector<bool> jobSampled(plan.jobs.size(), false);
-    std::map<std::pair<std::string, std::string>, bool> configOk;
-    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-        const SweepJob &job = plan.jobs[i];
-        const SampleSet &set = sets.at(job.workload);
-        if (!set.usable())
-            continue;
-        const auto key = std::make_pair(job.workload, job.configKey);
-        auto it = configOk.find(key);
-        if (it == configOk.end()) {
-            CoreConfig cfg = job.cfg;
-            applyExecOverlay(cfg, opt);
-            Simulator probe(cfg, programs.at(job.workload));
-            // samples[0] is the cold region (no image); the first
-            // warm snapshot decides whether this config can fork.
-            const bool ok =
-                Checkpoint::validate(probe, set.samples[1].bytes);
-            if (!ok)
-                warn("running ", job.workload, "/", job.configKey,
-                     " as a full run (snapshot geometry mismatch)");
-            it = configOk.emplace(key, ok).first;
-        }
-        jobSampled[i] = it->second;
-    }
+    // Per workload, written by its capture unit before it queues the
+    // workload's run units (the queue's lock publishes them to those
+    // units) and read again after the join.
+    std::vector<Program> programs(nw);
+    std::vector<SampleSet> sets(nw);
+    std::vector<std::vector<Note>> notes(nw);
+    std::vector<double> captureWall(nw, 0.0);
 
-    // Work units: one per (sampled job, sample) plus one per full-run
-    // job. Unit order is fixed; the pool only changes who runs what.
-    struct Unit
-    {
-        std::size_t job;
-        int sample; ///< -1: full run
-    };
-    std::vector<Unit> units;
-    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-        if (!jobSampled[i]) {
-            units.push_back({i, -1});
-            continue;
-        }
-        const SampleSet &set = sets.at(plan.jobs[i].workload);
-        for (std::size_t k = 0; k < set.samples.size(); ++k)
-            units.push_back({i, int(k)});
-    }
-
-    std::vector<RunOutcome> outcomes(plan.jobs.size());
-    std::vector<std::vector<SimResult>> sampleResults(plan.jobs.size());
-    std::vector<std::vector<std::uint64_t>> sampleHashes(
-        plan.jobs.size());
-    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+    // Per job; a capture unit sizes its sampled jobs' per-sample slots
+    // (empty: the job is one full run).
+    std::vector<RunOutcome> outcomes(nj);
+    std::vector<std::vector<SimResult>> sampleResults(nj);
+    std::vector<std::vector<std::uint64_t>> sampleHashes(nj);
+    for (std::size_t i = 0; i < nj; ++i)
         stampOutcome(outcomes[i], plan.jobs[i]);
-        if (jobSampled[i]) {
-            const std::size_t n =
-                sets.at(plan.jobs[i].workload).samples.size();
-            sampleResults[i].resize(n);
-            sampleHashes[i].assign(n, 0);
-        }
-    }
 
-    // Each unit owns its wall-time slot; the per-job totals fold in
-    // after the pool joins (a shared += would be a data race).
-    std::vector<double> unitWall(units.size(), 0.0);
-    std::vector<double> unitQueueWait(units.size(), 0.0);
-    std::vector<char> unitTimedOut(units.size(), 0);
+    // Run units own fixed result slots: a job is sampled (slots 0..S
+    // for its cold region and S warm samples) or one full run (slot
+    // S+1), so every slot exists before any capture has finished. The
+    // per-job totals fold in after the pool joins (a shared += would
+    // be a data race).
+    const std::size_t stride = std::size_t(opt.sample.samples) + 2;
+    const std::size_t nslots = nj * stride;
+    auto slotOf = [stride](const Unit &u) {
+        return u.index * stride +
+               (u.sample < 0 ? stride - 1 : std::size_t(u.sample));
+    };
+    auto unitAt = [stride](std::size_t slot) {
+        const std::size_t k = slot % stride;
+        return Unit{false, slot / stride, k == stride - 1 ? -1 : int(k)};
+    };
+    std::vector<double> unitWall(nslots, 0.0);
+    std::vector<double> unitQueueWait(nslots, -1.0); ///< -1: no unit
+    std::vector<char> unitTimedOut(nslots, 0);
     std::atomic<std::uint64_t> restoreCount{0}, restoreBytes{0};
     const auto poolStart = std::chrono::steady_clock::now();
 
-    JobWatchdog wd(units.size(), opt.jobTimeout,
-                   [&plan, &units](std::size_t u) {
-                       const SweepJob &j = plan.jobs[units[u].job];
+    JobWatchdog wd(nslots, opt.jobTimeout,
+                   [&plan, unitAt](std::size_t slot) {
+                       const Unit u = unitAt(slot);
+                       const SweepJob &j = plan.jobs[u.index];
                        std::string d = j.workload + "/" + j.configKey +
                                        " (seed " +
                                        std::to_string(j.seed) + ")";
-                       if (units[u].sample >= 0)
-                           d += " sample " +
-                                std::to_string(units[u].sample);
+                       if (u.sample >= 0)
+                           d += " sample " + std::to_string(u.sample);
                        return d;
                    });
 
-    auto runUnit = [&](std::size_t u) {
-        const Unit unit = units[u];
-        const SweepJob &job = plan.jobs[unit.job];
+    auto captureUnit = [&](std::size_t w) {
+        const auto t0 = std::chrono::steady_clock::now();
+        const Program &prog = programs[w] = loadProgram(plan, wl.names[w]);
+        std::string note;
+        SampleSet &set = sets[w];
+        set = captureSamples(warmConfig(plan, opt, wl.names[w]), prog,
+                             sp, opt.maxCycles, &note);
+        if (!note.empty())
+            notes[w].push_back({note});
+
+        // Each job's mode: sampled when the snapshots validate against
+        // its configuration, exact full run otherwise. Validation
+        // needs a Simulator (it binds program identity and geometry),
+        // so decide once per distinct configuration — a figure grid
+        // shares each configuration across jobs.
+        std::map<std::string, bool> configOk;
+        std::vector<Unit> units;
+        for (std::size_t i : wl.jobs[w]) {
+            const SweepJob &job = plan.jobs[i];
+            bool sampled = false;
+            if (set.usable()) {
+                auto it = configOk.find(job.configKey);
+                if (it == configOk.end()) {
+                    CoreConfig cfg = job.cfg;
+                    applyExecOverlay(cfg, opt);
+                    Simulator probe(cfg, prog);
+                    // samples[0] is the cold region (no image); the
+                    // first warm snapshot decides whether this config
+                    // can fork.
+                    const bool ok = Checkpoint::validate(
+                        probe, set.samples[1].bytes);
+                    if (!ok)
+                        notes[w].push_back(
+                            {"running " + job.workload + "/" +
+                             job.configKey +
+                             " as a full run (snapshot geometry "
+                             "mismatch)"});
+                    it = configOk.emplace(job.configKey, ok).first;
+                }
+                sampled = it->second;
+            }
+            if (!sampled) {
+                units.push_back({false, i, -1});
+                continue;
+            }
+            sampleResults[i].resize(set.samples.size());
+            sampleHashes[i].assign(set.samples.size(), 0);
+            for (std::size_t k = 0; k < set.samples.size(); ++k)
+                units.push_back({false, i, int(k)});
+        }
+        captureWall[w] = secondsSince(t0);
+        return units;
+    };
+
+    auto runUnit = [&](const Unit &unit) {
+        const std::size_t slot = slotOf(unit);
+        const SweepJob &job = plan.jobs[unit.index];
         CoreConfig cfg = job.cfg;
         applyExecOverlay(cfg, opt);
-        const Program &prog = programs.at(job.workload);
-        unitQueueWait[u] = secondsSince(poolStart);
+        const Program &prog = programs[wl.ofJob[unit.index]];
+        unitQueueWait[slot] = secondsSince(poolStart);
         const auto t0 = std::chrono::steady_clock::now();
         if (unit.sample < 0) {
             Simulator sim(cfg, prog);
-            wd.begin(u, sim);
-            outcomes[unit.job].res =
+            wd.begin(slot, sim);
+            outcomes[unit.index].res =
                 sim.run(opt.maxCycles, false, opt.quiesceInterval);
-            wd.end(u);
-            unitTimedOut[u] = outcomes[unit.job].res.timedOut;
-            outcomes[unit.job].commitHash = sim.core().commitPcHash();
-            unitWall[u] = secondsSince(t0);
+            wd.end(slot);
+            unitTimedOut[slot] = outcomes[unit.index].res.timedOut;
+            outcomes[unit.index].commitHash = sim.core().commitPcHash();
+            unitWall[slot] = secondsSince(t0);
             return;
         }
         const SampleCheckpoint &sc =
-            sets.at(job.workload).samples[size_t(unit.sample)];
+            sets[wl.ofJob[unit.index]].samples[size_t(unit.sample)];
         Simulator sim(cfg, prog);
         std::string err;
         // Empty bytes: the exact cold-start region forks from
@@ -396,72 +490,77 @@ runPlanSampled(const SweepPlan &plan, const ExecOptions &opt,
         }
         if (!sc.bytes.empty() &&
             !Checkpoint::restore(sim, sc.bytes, &err)) {
-            // validate() passed serially, so this is exceptional;
-            // a zero-inst measurement drops out of the weighted
-            // aggregation (deterministically) instead of crashing.
+            // validate() passed at capture time, so this is
+            // exceptional; a zero-inst measurement drops out of the
+            // weighted aggregation (deterministically) instead of
+            // crashing.
             warn("sample restore failed for ", job.workload, "/",
                  job.configKey, ": ", err);
             return;
         }
-        wd.begin(u, sim);
+        wd.begin(slot, sim);
         SimResult r = sim.runInsts(sc.measureInsts, opt.maxCycles);
-        wd.end(u);
-        unitTimedOut[u] = r.timedOut;
+        wd.end(slot);
+        unitTimedOut[slot] = r.timedOut;
         // An aborted sample contributes nothing (like a failed
         // restore): zero-inst measurements drop out of the weighted
         // aggregation deterministically.
         if (r.timedOut)
             return;
-        sampleHashes[unit.job][size_t(unit.sample)] =
+        sampleHashes[unit.index][size_t(unit.sample)] =
             sim.core().commitPcHash();
-        sampleResults[unit.job][size_t(unit.sample)] = std::move(r);
-        unitWall[u] = secondsSince(t0);
+        sampleResults[unit.index][size_t(unit.sample)] = std::move(r);
+        unitWall[slot] = secondsSince(t0);
     };
 
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (std::size_t u = next.fetch_add(1); u < units.size();
-             u = next.fetch_add(1))
-            runUnit(u);
-    };
-    runOnPool(opt.jobs, units.size(), worker);
+    const unsigned workers = drainUnits(
+        opt.jobs, nw, nw + nj * (stride - 1), captureUnit, runUnit);
     if (metrics) {
         metrics->poolWallSeconds = secondsSince(poolStart);
-        metrics->workers = unsigned(std::min<std::size_t>(
-            std::max(1u, opt.jobs), units.size()));
+        metrics->workers = workers;
         metrics->checkpointRestores =
             restoreCount.load(std::memory_order_relaxed);
         metrics->checkpointRestoreBytes =
             restoreBytes.load(std::memory_order_relaxed);
-    }
-
-    // Watchdog retry pass: aborted units re-run once, serially, with a
-    // fresh timer each.
-    if (wd.enabled()) {
-        for (std::size_t u = 0; u < units.size(); ++u) {
-            if (!unitTimedOut[u])
+        for (std::size_t w = 0; w < nw; ++w) {
+            metrics->busySeconds += captureWall[w];
+            if (!sets[w].usable())
                 continue;
-            const SweepJob &j = plan.jobs[units[u].job];
+            ++metrics->checkpointCaptures;
+            for (const SampleCheckpoint &sc : sets[w].samples)
+                metrics->checkpointCaptureBytes += sc.bytes.size();
+        }
+    }
+    printNotes(notes);
+
+    // Watchdog retry pass: aborted units re-run once, serially, in
+    // slot order, with a fresh timer each.
+    if (wd.enabled()) {
+        for (std::size_t slot = 0; slot < nslots; ++slot) {
+            if (!unitTimedOut[slot])
+                continue;
+            const Unit u = unitAt(slot);
+            const SweepJob &j = plan.jobs[u.index];
             warn("job watchdog: retrying ", j.workload, "/",
                  j.configKey, " serially");
-            unitTimedOut[u] = 0;
+            unitTimedOut[slot] = 0;
             runUnit(u);
-            outcomes[units[u].job].retried = true;
+            outcomes[u.index].retried = true;
         }
-        for (std::size_t u = 0; u < units.size(); ++u)
-            if (unitTimedOut[u])
-                outcomes[units[u].job].timedOut = true;
+        for (std::size_t slot = 0; slot < nslots; ++slot)
+            if (unitTimedOut[slot])
+                outcomes[slot / stride].timedOut = true;
     }
 
     // Plan-ordered aggregation: a pure integer fold of the per-sample
     // measurements, independent of which thread measured what.
     const auto collate0 = std::chrono::steady_clock::now();
-    for (std::size_t u = 0; u < units.size(); ++u)
-        outcomes[units[u].job].wallSeconds += unitWall[u];
-    for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-        if (!jobSampled[i])
+    for (std::size_t slot = 0; slot < nslots; ++slot)
+        outcomes[slot / stride].wallSeconds += unitWall[slot];
+    for (std::size_t i = 0; i < nj; ++i) {
+        if (sampleResults[i].empty())
             continue;
-        const SampleSet &set = sets.at(plan.jobs[i].workload);
+        const SampleSet &set = sets[wl.ofJob[i]];
         outcomes[i].res = aggregateSamples(set, sampleResults[i]);
         outcomes[i].commitHash = foldSampleHashes(sampleHashes[i]);
         outcomes[i].fromCheckpoint = true;
@@ -469,19 +568,20 @@ runPlanSampled(const SweepPlan &plan, const ExecOptions &opt,
     }
     if (metrics) {
         metrics->collateSeconds = secondsSince(collate0);
-        metrics->jobs.resize(plan.jobs.size());
-        for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
+        metrics->jobs.resize(nj);
+        for (std::size_t i = 0; i < nj; ++i) {
             ExecMetrics::JobMetrics &jm = metrics->jobs[i];
             jm.workload = plan.jobs[i].workload;
             jm.configKey = plan.jobs[i].configKey;
             jm.queueWaitSeconds = -1.0; // min over the job's units
             jm.runSeconds = outcomes[i].wallSeconds;
         }
-        for (std::size_t u = 0; u < units.size(); ++u) {
-            ExecMetrics::JobMetrics &jm = metrics->jobs[units[u].job];
-            if (jm.queueWaitSeconds < 0.0 ||
-                unitQueueWait[u] < jm.queueWaitSeconds)
-                jm.queueWaitSeconds = unitQueueWait[u];
+        for (std::size_t slot = 0; slot < nslots; ++slot) {
+            const double qw = unitQueueWait[slot];
+            ExecMetrics::JobMetrics &jm = metrics->jobs[slot / stride];
+            if (qw >= 0.0 &&
+                (jm.queueWaitSeconds < 0.0 || qw < jm.queueWaitSeconds))
+                jm.queueWaitSeconds = qw;
         }
         for (ExecMetrics::JobMetrics &jm : metrics->jobs) {
             if (jm.queueWaitSeconds < 0.0)
@@ -551,18 +651,24 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         metrics->enabled = true;
         metrics->jobsAuto = opt.jobsAutoDetected;
     }
-    const std::map<std::string, Program> programs = buildPrograms(plan);
-
     if (opt.sample.enabled()) {
         sdv_assert(!opt.verify,
                    "interval sampling produces estimates that cannot "
                    "be functionally verified; drop --verify");
-        return runPlanSampled(plan, opt, programs, metrics);
+        return runPlanSampled(plan, opt, metrics);
     }
 
-    std::map<std::string, std::vector<std::uint8_t>> checkpoints;
-    if (opt.checkpoint)
-        checkpoints = captureCheckpoints(plan, opt, programs, metrics);
+    // One capture unit per workload builds its program, warms its
+    // snapshot under --checkpoint, then queues the workload's jobs.
+    // Per workload, written by its capture unit and published to the
+    // jobs by the queue's lock.
+    const PlanWorkloads wl(plan);
+    const std::size_t nw = wl.names.size();
+    std::vector<Program> programs(nw);
+    std::vector<std::vector<std::uint8_t>> checkpoints(nw);
+    std::vector<char> captured(nw, 0);
+    std::vector<double> captureWall(nw, 0.0);
+    std::vector<std::vector<Note>> notes(nw);
 
     std::vector<RunOutcome> outcomes(plan.jobs.size());
     JobWatchdog wd(plan.jobs.size(), opt.jobTimeout,
@@ -587,12 +693,12 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
         applyExecOverlay(cfg, opt);
         cfg.engine.fault = jobFaultPlan(opt.fault, job);
         out.cfg = cfg; ///< resolved config (fault plan, chaining mode)
-        const Program &prog = programs.at(job.workload);
+        const Program &prog = programs[wl.ofJob[i]];
         std::optional<Simulator> sim;
         sim.emplace(cfg, prog);
 
         if (opt.checkpoint) {
-            const auto &bytes = checkpoints.at(job.workload);
+            const auto &bytes = checkpoints[wl.ofJob[i]];
             // A job whose configuration cannot take the snapshot
             // (e.g. an ablation entry varying checkpointed
             // geometry such as the TL confidence) runs from cold
@@ -637,13 +743,25 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
             out.telemetryJson = telemetry.toJson();
     };
 
-    std::atomic<std::size_t> next{0};
-    auto worker = [&]() {
-        for (std::size_t i = next.fetch_add(1); i < plan.jobs.size();
-             i = next.fetch_add(1))
-            runJob(i);
+    auto captureUnit = [&](std::size_t w) {
+        const auto t0 = std::chrono::steady_clock::now();
+        programs[w] = loadProgram(plan, wl.names[w]);
+        if (opt.checkpoint) {
+            bool took = false;
+            checkpoints[w] = captureCheckpoint(
+                plan, opt, wl.names[w], programs[w], took, notes[w]);
+            captured[w] = took;
+        }
+        captureWall[w] = secondsSince(t0);
+        std::vector<Unit> units;
+        for (std::size_t i : wl.jobs[w])
+            units.push_back({false, i, -1});
+        return units;
     };
-    runOnPool(opt.jobs, plan.jobs.size(), worker);
+    const unsigned workers =
+        drainUnits(opt.jobs, nw, nw + plan.jobs.size(), captureUnit,
+                   [&](const Unit &u) { runJob(u.index); });
+    printNotes(notes);
 
     // Watchdog retry pass: every aborted job gets one serial re-run
     // with an uncontended machine and a fresh timer. A job that times
@@ -661,8 +779,14 @@ runPlan(const SweepPlan &plan, const ExecOptions &opt,
     }
     if (metrics) {
         metrics->poolWallSeconds = secondsSince(poolStart);
-        metrics->workers = unsigned(std::min<std::size_t>(
-            std::max(1u, opt.jobs), plan.jobs.size()));
+        metrics->workers = workers;
+        for (std::size_t w = 0; w < nw; ++w) {
+            metrics->busySeconds += captureWall[w];
+            if (!captured[w])
+                continue;
+            ++metrics->checkpointCaptures;
+            metrics->checkpointCaptureBytes += checkpoints[w].size();
+        }
         metrics->checkpointRestores =
             restoreCount.load(std::memory_order_relaxed);
         metrics->checkpointRestoreBytes =

@@ -7,10 +7,13 @@
  * function of the plan and options: serial and parallel execution
  * produce byte-identical JSON.
  *
- * With checkpointing enabled, each workload is warmed once (serially,
- * so the snapshot is deterministic) and every configuration of that
- * workload forks from the snapshot instead of re-simulating the
- * warm-up; see src/sweep/checkpoint.hh and docs/sweep.md.
+ * Every mode runs on one ready queue: one capture unit per workload
+ * (plan order) builds its program and, with checkpointing or
+ * sampling, captures its snapshots under a deterministic warm-up
+ * configuration, then queues the workload's run units behind it.
+ * Every configuration of that workload forks from the snapshots
+ * instead of re-simulating the warm-up; see src/sweep/checkpoint.hh
+ * and docs/sweep.md.
  */
 
 #ifndef SDV_SWEEP_EXECUTOR_HH
@@ -100,9 +103,11 @@ struct ExecMetrics
     unsigned workers = 0;       ///< pool threads actually used
     bool jobsAuto = false;      ///< workers came from --jobs 0 auto-detect
     double poolWallSeconds = 0.0; ///< pool start to join
-    double busySeconds = 0.0;   ///< sum of unit run times
+    double busySeconds = 0.0;   ///< sum of unit run times (captures too)
     double collateSeconds = 0.0; ///< plan-ordered aggregation/serialization
-    std::uint64_t checkpointCaptures = 0;    ///< warm snapshots taken
+    /** Workloads whose capture unit took snapshots (a one-boundary
+     *  image, or a usable sample set; reuse from disk is no capture). */
+    std::uint64_t checkpointCaptures = 0;
     std::uint64_t checkpointCaptureBytes = 0;
     std::uint64_t checkpointRestores = 0;    ///< forks from snapshots
     std::uint64_t checkpointRestoreBytes = 0;
@@ -212,9 +217,10 @@ struct RunOutcome
 
 /**
  * Run every job of @p plan and return outcomes in plan order.
- * Programs are built and pre-decoded up front (one per workload,
- * shared read-only); checkpoints, when enabled, are captured serially
- * before the pool starts.
+ * Programs are built and pre-decoded once per workload (shared
+ * read-only) by the workload's capture unit, which also captures its
+ * snapshots when checkpointing or sampling is on; the workload's jobs
+ * start when their capture unit finishes.
  */
 std::vector<RunOutcome> runPlan(const SweepPlan &plan,
                                 const ExecOptions &opt,

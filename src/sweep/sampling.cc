@@ -44,10 +44,17 @@ scaleAdd(T &dst, const T &src, std::uint64_t w, std::uint64_t m)
 
 SampleSet
 captureSamples(const CoreConfig &cfg, const Program &prog,
-               const SamplePlan &plan, std::uint64_t max_cycles)
+               const SamplePlan &plan, std::uint64_t max_cycles,
+               std::string *note)
 {
     sdv_assert(plan.enabled(), "capture pass without a sample plan");
     SampleSet set;
+    auto report = [note](auto &&...args) {
+        if (note)
+            *note = detail::concat(args...);
+        else
+            warn(args...);
+    };
 
     // One functional execution counts the dynamic length — orders of
     // magnitude cheaper than the timing model, and it pins the sample
@@ -60,7 +67,7 @@ captureSamples(const CoreConfig &cfg, const Program &prog,
 
     const std::uint64_t warmup = plan.warmupInsts;
     if (set.totalInsts <= warmup + plan.samples) {
-        warn("program too short for ", plan.samples,
+        report("program too short for ", plan.samples,
              " samples after a ", warmup,
              "-inst warm-up; falling back to full runs");
         return set;
@@ -70,8 +77,8 @@ captureSamples(const CoreConfig &cfg, const Program &prog,
             ? plan.periodInsts
             : (set.totalInsts - warmup) / plan.samples;
     if (period == 0) {
-        warn("sample period resolved to zero; falling back to full "
-             "runs");
+        report("sample period resolved to zero; falling back to full "
+               "runs");
         return set;
     }
     set.periodInsts = period;
@@ -98,8 +105,9 @@ captureSamples(const CoreConfig &cfg, const Program &prog,
         if (!sim.advanceTo(start, max_cycles)) {
             // HALT inside the gap or budget blown: keep the samples
             // captured so far; the last one's weight covers the tail.
-            warn("sample boundary ", start, " unreachable; capturing ",
-                 k, " of ", plan.samples, " samples");
+            report("sample boundary ", start,
+                   " unreachable; capturing ", k, " of ", plan.samples,
+                   " samples");
             break;
         }
         SampleCheckpoint sc;

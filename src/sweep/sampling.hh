@@ -4,14 +4,17 @@
  * generalization of the one-boundary Simulator::warmup + Checkpoint
  * fast-forward layer to many boundaries per run.
  *
- * A SamplePlan asks for S samples of M instructions each. One serial
+ * A SamplePlan asks for S samples of M instructions each. One
  * *capture pass* per workload walks the program boundary to boundary
  * (Simulator::advanceTo), serializing a checkpoint at each; the sample
  * positions are spread evenly over the program's dynamic length
- * (counted with one cheap functional execution). Every configuration
- * of the sweep then *forks per sample* from the snapshots — the
- * (config x sample) measurements are independent jobs the executor
- * runs in parallel — and the per-sample statistics are folded into one
+ * (counted with one cheap functional execution). The executor runs
+ * each workload's capture pass as one *capture unit* on its pool:
+ * capture units head the ready queue in plan order, and each one, when
+ * it finishes, appends its workload's (config x sample) forks behind
+ * it, so one workload's forks run while another is still capturing.
+ * Every configuration of the sweep *forks per sample* from the
+ * snapshots, and the per-sample statistics are folded into one
  * SimResult estimate: each counter is extrapolated by the region
  * weight (region instructions / measured instructions) in pure integer
  * arithmetic, so serial and parallel sweeps aggregate byte-identically.
@@ -25,6 +28,7 @@
 #define SDV_SWEEP_SAMPLING_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -81,14 +85,17 @@ struct SampleSet
 };
 
 /**
- * Serial capture pass: walk @p prog under @p cfg and checkpoint every
+ * Capture pass: walk @p prog under @p cfg and checkpoint every
  * boundary @p plan asks for. Returns an empty set (fall back to full
  * runs) when the program is too short for even one warmed sample or a
- * boundary was unreachable within @p max_cycles.
+ * boundary was unreachable within @p max_cycles. The fallback or
+ * shortfall message is printed, or stored in @p note when given, so a
+ * caller running captures in parallel can print them in plan order.
  */
 SampleSet captureSamples(const CoreConfig &cfg, const Program &prog,
                          const SamplePlan &plan,
-                         std::uint64_t max_cycles);
+                         std::uint64_t max_cycles,
+                         std::string *note = nullptr);
 
 /**
  * Fold the per-sample measurements (in capture order, one SimResult

@@ -242,6 +242,69 @@ TEST(Sampling, TooShortProgramsFallBackToExactFullRuns)
     EXPECT_EQ(exact[0].commitHash, fallback[0].commitHash);
 }
 
+TEST(Sampling, MixedFallbackPlanIsScheduleIndependent)
+{
+    // One plan mixes the three ways a capture unit can expand: a
+    // normally sampled workload, a workload too short to sample (every
+    // job falls back to a full run), and configurations whose snapshot
+    // geometry does not match (TL confidence; full-run fallback).
+    sweep::PlanOptions popt;
+    popt.quick = true;
+    sweep::SweepPlan plan = sweep::buildPlan("ablation", popt);
+    std::erase_if(plan.jobs, [](const sweep::SweepJob &j) {
+        return j.column != "base" && j.column != "conf1" &&
+               j.column != "vregs8";
+    });
+
+    sweep::ExecOptions eopt;
+    eopt.sample.samples = 3;
+    eopt.sample.measureInsts = 5'000;
+    // Longer than go's quick program, shorter than the others'.
+    eopt.warmupInsts = 100'000;
+
+    // Fallback warnings are buffered per workload and printed in plan
+    // order after the pool joins, so stderr is schedule-independent too.
+    auto runCapturingStderr = [&plan, &eopt](std::string &err) {
+        testing::internal::CaptureStderr();
+        auto out = sweep::runPlan(plan, eopt);
+        err = testing::internal::GetCapturedStderr();
+        return out;
+    };
+    std::string serialErr, parallelErr;
+    eopt.jobs = 1;
+    const auto serial = runCapturingStderr(serialErr);
+    unsigned tooShort = 0, mismatch = 0, sampled = 0;
+    for (const auto &o : serial) {
+        EXPECT_FALSE(o.timedOut || o.retried);
+        if (o.workload == "go")
+            tooShort += o.samples == 0;
+        else if (o.column == "conf1")
+            mismatch += o.samples == 0;
+        else
+            sampled += o.samples > 0;
+    }
+    EXPECT_EQ(tooShort, 3u);
+    EXPECT_EQ(mismatch, 2u);
+    EXPECT_EQ(sampled, 4u);
+
+    EXPECT_NE(serialErr.find("too short"), std::string::npos);
+    EXPECT_NE(serialErr.find("geometry mismatch"), std::string::npos);
+
+    const std::string ref = sweep::resultsJson(serial);
+    eopt.jobs = 4;
+    EXPECT_EQ(sweep::resultsJson(runCapturingStderr(parallelErr)), ref);
+    EXPECT_EQ(parallelErr, serialErr);
+    for (unsigned jobs : {2u, 4u}) {
+        eopt.jobs = jobs;
+        EXPECT_EQ(sweep::resultsJson(sweep::runPlan(plan, eopt)), ref)
+            << "jobs " << jobs;
+    }
+    // With the watchdog on, every unit gets its own timer slot even
+    // though run units are created while the pool runs.
+    eopt.jobTimeout = 600;
+    EXPECT_EQ(sweep::resultsJson(sweep::runPlan(plan, eopt)), ref);
+}
+
 TEST(Sampling, AggregationWeightsAreExactForIdentityScaling)
 {
     // w == m means "scaled by one": aggregating one full-coverage

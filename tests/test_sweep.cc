@@ -8,6 +8,7 @@
  * or not).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <deque>
 
@@ -365,6 +366,48 @@ TEST(SweepExecutor, CheckpointedSweepIsDeterministicAndVerified)
         EXPECT_TRUE(o.res.verified) << o.workload;
     }
     EXPECT_EQ(sweep::resultsJson(serial), sweep::resultsJson(parallel));
+}
+
+TEST(SweepExecutor, SampledSweepCountsOneCapturePerUsableWorkload)
+{
+    sweep::PlanOptions popt;
+    popt.quick = true;
+    const sweep::SweepPlan plan = sweep::buildPlan("fig13", popt);
+
+    sweep::ExecOptions opt;
+    opt.sample.samples = 3;
+    opt.sample.measureInsts = 2'000;
+    opt.warmupInsts = warmupInsts;
+    opt.jobs = 2;
+    sweep::ExecMetrics metrics;
+    sweep::runPlan(plan, opt, &metrics);
+
+    // Independent count: capture each workload's set directly, exactly
+    // as the executor's capture units do.
+    sweep::SamplePlan sp = opt.sample;
+    sp.warmupInsts = opt.warmupInsts;
+    std::uint64_t usable = 0, bytes = 0;
+    std::vector<std::string> seen;
+    for (const sweep::SweepJob &job : plan.jobs) {
+        if (std::find(seen.begin(), seen.end(), job.workload) !=
+            seen.end())
+            continue;
+        seen.push_back(job.workload);
+        Program prog = buildWorkload(job.workload, plan.scale);
+        prog.predecodeAll();
+        const sweep::SampleSet set = sweep::captureSamples(
+            sweep::warmConfig(plan, opt, job.workload), prog, sp,
+            opt.maxCycles);
+        if (!set.usable())
+            continue;
+        ++usable;
+        for (const sweep::SampleCheckpoint &sc : set.samples)
+            bytes += sc.bytes.size();
+    }
+    ASSERT_GT(usable, 0u);
+    EXPECT_EQ(metrics.checkpointCaptures, usable);
+    EXPECT_EQ(metrics.checkpointCaptureBytes, bytes);
+    EXPECT_GT(metrics.checkpointRestores, 0u);
 }
 
 // --- program sharing -------------------------------------------------------

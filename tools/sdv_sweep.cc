@@ -32,6 +32,9 @@
 #include <string>
 
 #include <unistd.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/log.hh"
 #include "obs/hooks.hh"
@@ -202,6 +205,23 @@ selfExecutable(const char *argv0)
 int
 main(int argc, char **argv)
 {
+#if defined(__GLIBC__)
+    // Pool threads capture snapshot images concurrently, and on the
+    // memory-resident grids each image and each buffer it grows
+    // through is a megabyte or more. glibc serves each thread from its
+    // own arena and, after the first large free, raises its mmap
+    // threshold so later images come from those arenas, which keep
+    // the freed memory. A fixed mmap threshold (which turns that
+    // adjustment off) keeps such buffers in their own mappings,
+    // unmapped on free, so peak RSS does not grow with the number of
+    // capturing threads. At 1 MB, the smaller arrays every Simulator
+    // allocates still come from the heap. The trim threshold is set to
+    // twice that, the ratio glibc's own adjustment keeps: at its 128 KB
+    // default, each unit's freed Simulator would be trimmed off the
+    // heap and faulted back in by the next unit.
+    mallopt(M_MMAP_THRESHOLD, 1024 * 1024);
+    mallopt(M_TRIM_THRESHOLD, 2 * 1024 * 1024);
+#endif
     std::string plan_name;
     std::string json_path;
     sweep::PlanOptions popt;
