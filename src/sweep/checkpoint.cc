@@ -76,10 +76,6 @@ setError(std::string *error, const char *msg)
     return false;
 }
 
-} // namespace
-
-namespace {
-
 /** Shared header walk: checksum, magic, version and geometry; the
  *  image's program identity hash comes back via @p imageProgram for
  *  the caller to judge. On success @p des is positioned at the
@@ -109,21 +105,6 @@ walkHeader(Deserializer &des, const CoreConfig &cfg,
     return true;
 }
 
-/** Header walk bound to a concrete simulator: adds the program
- *  identity check on top of walkHeader(). */
-bool
-checkHeader(Deserializer &des, Simulator &sim, std::string *error)
-{
-    std::uint64_t prog = 0;
-    if (!walkHeader(des, sim.core().config(), &prog, error))
-        return false;
-    if (prog != sim.program().identityHash())
-        return setError(error,
-                        "checkpoint was captured from a different "
-                        "program");
-    return true;
-}
-
 } // namespace
 
 std::vector<std::uint8_t>
@@ -144,8 +125,13 @@ Checkpoint::restore(Simulator &sim,
                     std::string *error)
 {
     Deserializer des(bytes);
-    if (!checkHeader(des, sim, error))
+    std::uint64_t prog = 0;
+    if (!walkHeader(des, sim.core().config(), &prog, error))
         return false;
+    if (prog != sim.program().identityHash())
+        return setError(error,
+                        "checkpoint was captured from a different "
+                        "program");
     if (!sim.core().loadWarmState(des) || !des.atEnd())
         return setError(error, "checkpoint payload is inconsistent");
     return true;
@@ -155,17 +141,18 @@ bool
 Checkpoint::validate(Simulator &sim,
                      const std::vector<std::uint8_t> &bytes)
 {
-    Deserializer des(bytes);
-    return checkHeader(des, sim, nullptr);
+    std::uint64_t prog = 0;
+    return validateImage(sim.core().config(), bytes, &prog) &&
+           prog == sim.program().identityHash();
 }
 
 bool
 Checkpoint::validateImage(const CoreConfig &cfg,
                           const std::vector<std::uint8_t> &bytes,
-                          std::uint64_t *programHash, std::string *error)
+                          std::uint64_t *programHash)
 {
     Deserializer des(bytes);
-    return walkHeader(des, cfg, programHash, error);
+    return walkHeader(des, cfg, programHash, nullptr);
 }
 
 bool

@@ -87,6 +87,16 @@ submitSweepOnce(const std::string &socketPath,
     };
 
     out = ClientResult{};
+    // Observability sinks are per-process and not part of a request:
+    // the daemon would silently drop them, so refuse up front.
+    if (req.eopt.traceEvents || req.eopt.telemetryInterval) {
+        if (err)
+            *err = std::string(req.eopt.traceEvents ? "--trace-events"
+                                                    : "--telemetry") +
+                   " is not supported with a sweep daemon; run the "
+                   "sweep in-process to observe it";
+        return verdict(SubmitStatus::Rejected);
+    }
     int connErrno = 0;
     const int fd = proto::connectUnix(socketPath, err, &connErrno);
     if (fd < 0) {
@@ -291,10 +301,7 @@ runLoadTest(const std::string &socketPath,
                 const auto r0 = std::chrono::steady_clock::now();
                 const bool ok =
                     submitSweep(socketPath, req, res, &e);
-                const double secs =
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - r0)
-                        .count();
+                const double secs = secondsSince(r0);
                 std::lock_guard<std::mutex> lk(m);
                 if (ok) {
                     ++out.completed;
@@ -311,10 +318,7 @@ runLoadTest(const std::string &socketPath,
     }
     for (std::thread &t : threads)
         t.join();
-    out.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
+    out.wallSeconds = secondsSince(t0);
     out.requestsPerSecond =
         out.wallSeconds > 0.0 ? out.completed / out.wallSeconds : 0.0;
 

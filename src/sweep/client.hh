@@ -67,7 +67,10 @@ struct ClientResult
  * reply. @p onRecord (optional) observes each record as it arrives —
  * the streaming interface; the full set is also collected into
  * @p out. @return the classified outcome (also left in out.status);
- * @p err carries the human-readable reason on anything but Ok.
+ * @p err carries the human-readable reason on anything but Ok. A
+ * request asking for observability sinks (traceEvents,
+ * telemetryInterval), which the wire does not carry, is Rejected here
+ * without contacting the daemon.
  */
 SubmitStatus submitSweepOnce(
     const std::string &socketPath, const proto::SweepRequest &req,

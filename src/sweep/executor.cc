@@ -6,16 +6,14 @@
 #include <cstdio>
 #include <deque>
 #include <functional>
-#include <map>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include "common/histogram.hh"
 #include "common/log.hh"
 #include "common/random.hh"
-#include "obs/telemetry.hh"
 #include "sweep/checkpoint.hh"
+#include "sweep/unit.hh"
 #include "workloads/workload.hh"
 
 namespace sdv {
@@ -36,17 +34,9 @@ stampOutcome(RunOutcome &out, const SweepJob &job)
 
 namespace {
 
-double
-secondsSince(const std::chrono::steady_clock::time_point &t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 /**
  * Wall-clock job watchdog (--job-timeout): one timer slot per pool
- * unit. A worker arms its slot (begin) before running a simulation and
+ * unit. A worker arms its slot (begin) before running a unit and
  * disarms it (end) after; the scan thread wakes every 50 ms and trips
  * the abort flag of any armed slot past the timeout. The Simulator
  * polls that flag and stops with SimResult::timedOut set — the worker
@@ -74,16 +64,17 @@ class JobWatchdog
 
     bool enabled() const { return timeoutMs_ != 0; }
 
-    /** Arm unit @p u's timer and attach its abort flag to @p sim. */
-    void
-    begin(std::size_t u, Simulator &sim)
+    /** Arm unit @p u's timer. @return the abort flag for its
+     *  simulator (null when the watchdog is off). */
+    std::atomic<bool> *
+    begin(std::size_t u)
     {
         if (!enabled())
-            return;
+            return nullptr;
         Entry &e = entries_[u];
         e.abort.store(false, std::memory_order_relaxed);
-        sim.setAbortFlag(&e.abort);
         e.startMs.store(nowMs(), std::memory_order_release);
+        return &e.abort;
     }
 
     /** Disarm unit @p u's timer (the attempt is over). */
@@ -138,39 +129,6 @@ class JobWatchdog
     std::thread thread_;
 };
 
-/** @p workload's program under @p plan, pre-decoded so worker
- *  threads share it read-only. */
-Program
-loadProgram(const SweepPlan &plan, const std::string &workload)
-{
-    Program prog = buildWorkload(workload, plan.scale, plan.footprint);
-    prog.predecodeAll();
-    return prog;
-}
-
-/** A plan's workloads in first-use (plan) order, with their jobs. */
-struct PlanWorkloads
-{
-    std::vector<std::string> names;              ///< first-use order
-    std::vector<std::size_t> ofJob;              ///< job -> ordinal
-    std::vector<std::vector<std::size_t>> jobs;  ///< ordinal -> jobs
-
-    explicit PlanWorkloads(const SweepPlan &plan) : ofJob(plan.jobs.size())
-    {
-        std::map<std::string, std::size_t> ordinal;
-        for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-            const auto [it, fresh] =
-                ordinal.emplace(plan.jobs[i].workload, names.size());
-            if (fresh) {
-                names.push_back(plan.jobs[i].workload);
-                jobs.emplace_back();
-            }
-            ofJob[i] = it->second;
-            jobs[it->second].push_back(i);
-        }
-    }
-};
-
 /** A warning raised by a capture unit. Units buffer them per workload
  *  and printNotes() emits them in plan order after the pool joins, so
  *  stderr does not depend on scheduling. */
@@ -193,44 +151,34 @@ printNotes(const std::vector<std::vector<Note>> &notes)
 }
 
 /**
- * One-boundary checkpoint capture unit: capture (or reuse from disk)
- * the warmed checkpoint of @p workload. The warm-up configuration is
- * the workload's first engine-enabled job (falling back to its first
- * job) — a deterministic choice, so snapshots never depend on
- * scheduling. A workload whose program runs to HALT inside the
- * warm-up gets an empty image: its jobs fall back to cold full runs.
- *
- * Cached snapshot files are keyed by (workload, scale, warm-up
- * length) and validated against the current program and geometry
- * before being trusted; a stale or foreign file is recaptured and
- * overwritten, never silently reused. @p captured is set when the
- * image was taken now rather than reused.
+ * The executor's capture: captureSnapshots(), with one-boundary images
+ * reused from and saved to --checkpoint-dir. Cached files are keyed by
+ * (workload, scale, warm-up length, chaining mode) — a different
+ * chaining mode warms caches and TL state differently — and vetted with
+ * jobForks against the warm-up machine before being trusted; a stale
+ * or foreign file is recaptured and overwritten, never silently
+ * reused. @return true when the capture ran now.
  */
-std::vector<std::uint8_t>
-captureCheckpoint(const SweepPlan &plan, const ExecOptions &opt,
-                  const std::string &workload, const Program &prog,
-                  bool &captured, std::vector<Note> &notes)
+bool
+captureOrReuse(const SweepPlan &plan, const ExecOptions &opt,
+               const std::string &workload, const Program &prog,
+               SnapshotSet &s, std::vector<Note> &notes)
 {
-    const CoreConfig cfg = warmConfig(plan, opt, workload);
-
-    // The cache key includes every option that shapes the warm-up
-    // run itself: a snapshot captured under a different chaining
-    // mode holds differently-warmed caches and TL state.
+    const bool disk = !opt.sample.enabled() && !opt.checkpointDir.empty();
     const std::string path =
-        opt.checkpointDir.empty()
-            ? std::string()
-            : opt.checkpointDir + "/" + workload + ".s" +
-                  std::to_string(plan.scale) + ".w" +
-                  std::to_string(opt.warmupInsts) +
-                  (opt.eagerChain ? ".eager" : "") + ".ckpt";
-
-    std::vector<std::uint8_t> bytes;
-    if (!path.empty()) {
-        const auto st = Checkpoint::load(path, bytes);
+        !disk ? std::string()
+              : opt.checkpointDir + "/" + workload + ".s" +
+                    std::to_string(plan.scale) + ".w" +
+                    std::to_string(opt.warmupInsts) +
+                    (opt.eagerChain ? ".eager" : "") + ".ckpt";
+    if (disk) {
+        s.programHash = prog.identityHash();
+        s.captured = true;
+        s.set.samples.resize(1);
+        const auto st = Checkpoint::load(path, s.set.samples[0].bytes);
         if (st == Checkpoint::LoadStatus::Ok) {
-            Simulator probe(cfg, prog);
-            if (Checkpoint::validate(probe, bytes))
-                return bytes;
+            if (jobForks(s, warmConfig(plan, opt, workload)))
+                return false;
             notes.push_back(
                 {"cached checkpoint " + path + " is stale; recapturing"});
         } else if (st == Checkpoint::LoadStatus::Corrupt) {
@@ -242,43 +190,33 @@ captureCheckpoint(const SweepPlan &plan, const ExecOptions &opt,
                                  "write?); recapturing",
                              true});
         }
-        bytes.clear();
     }
-
-    Simulator sim(cfg, prog);
-    if (!sim.warmup(opt.warmupInsts, opt.maxCycles)) {
-        notes.push_back({"workload '" + workload +
-                         "' reached no warm-up boundary (program "
-                         "finished or budget elapsed); running its "
-                         "jobs without a checkpoint"});
-        return {};
-    }
-    bytes = Checkpoint::capture(sim);
-    captured = true;
-    if (!path.empty() && !Checkpoint::save(path, bytes))
+    std::string note;
+    s = captureSnapshots(plan, opt, workload, prog, &note);
+    if (!note.empty())
+        notes.push_back({note});
+    if (disk && s.captured &&
+        !Checkpoint::save(path, s.set.samples[0].bytes))
         notes.push_back({"could not write checkpoint " + path});
-    return bytes;
+    return true;
 }
 
-/** One pool unit: a workload's capture, or a run of one job (the
+/** One pool unit: a workload's capture, or unit @p part of a job (the
  *  whole job, or one sample fork of it). */
 struct Unit
 {
     bool capture = false;
     std::size_t index = 0; ///< capture: workload ordinal; run: job
-    int sample = -1;       ///< run: -1 full run, else the sample
+    unsigned part = 0;     ///< run: the job's unit (JobCollator)
 };
 
 /**
- * The executor's one scheduler: pool threads drain a ready queue. The
- * queue starts with one capture unit per workload, in plan order, so
- * the long captures start first. A capture unit builds its workload's
- * program, captures the workload's snapshots when the mode uses them,
- * and returns the workload's run units, which its thread appends to
- * the back of the queue. A thread that finds the queue empty waits
- * while a capture is still running (it may release more work) and
- * exits once none is. Units write only their own result slots, so
- * results do not depend on which thread ran what.
+ * The executor's one scheduler: pool threads drain a ready queue that
+ * starts with one capture unit per workload, in plan order, so the long
+ * captures start first. A capture unit returns its workload's run
+ * units, which its thread appends to the back of the queue. A thread
+ * that finds the queue empty waits while a capture is still running (it
+ * may release more work) and exits once none is.
  *
  * @param max_units upper bound on all units, captures included; the
  *        pool gets min(jobs, max_units) threads (1 runs inline).
@@ -291,7 +229,7 @@ drainUnits(unsigned jobs, std::size_t workloads, std::size_t max_units,
 {
     std::deque<Unit> queue;
     for (std::size_t w = 0; w < workloads; ++w)
-        queue.push_back({true, w, -1});
+        queue.push_back({true, w, 0});
     std::size_t capturing = workloads; // capture units not yet finished
     std::mutex m;
     std::condition_variable cv;
@@ -330,266 +268,6 @@ drainUnits(unsigned jobs, std::size_t workloads, std::size_t max_units,
     for (std::thread &t : pool)
         t.join();
     return nthreads;
-}
-
-/**
- * Interval-sampled plan execution on one ready queue: a capture unit
- * per workload (under its deterministic warm-up configuration) heads
- * the queue. When it finishes, its thread validates the snapshots
- * against each of the workload's distinct configurations and queues
- * the workload's run units — one per (job, sample), each restoring one
- * sample snapshot and measuring its region — so other workloads' forks
- * run while the longest captures are still going. Jobs whose
- * configuration cannot restore the snapshots (geometry mismatch), and
- * every job of a workload whose capture fell back, run as exact full
- * runs, visible via samples == 0. Aggregation is a plan-ordered fold
- * after the pool joins.
- */
-std::vector<RunOutcome>
-runPlanSampled(const SweepPlan &plan, const ExecOptions &opt,
-               ExecMetrics *metrics)
-{
-    const PlanWorkloads wl(plan);
-    const std::size_t nw = wl.names.size();
-    const std::size_t nj = plan.jobs.size();
-    SamplePlan sp = opt.sample;
-    sp.warmupInsts = opt.warmupInsts;
-
-    // Per workload, written by its capture unit before it queues the
-    // workload's run units (the queue's lock publishes them to those
-    // units) and read again after the join.
-    std::vector<Program> programs(nw);
-    std::vector<SampleSet> sets(nw);
-    std::vector<std::vector<Note>> notes(nw);
-    std::vector<double> captureWall(nw, 0.0);
-
-    // Per job; a capture unit sizes its sampled jobs' per-sample slots
-    // (empty: the job is one full run).
-    std::vector<RunOutcome> outcomes(nj);
-    std::vector<std::vector<SimResult>> sampleResults(nj);
-    std::vector<std::vector<std::uint64_t>> sampleHashes(nj);
-    for (std::size_t i = 0; i < nj; ++i)
-        stampOutcome(outcomes[i], plan.jobs[i]);
-
-    // Run units own fixed result slots: a job is sampled (slots 0..S
-    // for its cold region and S warm samples) or one full run (slot
-    // S+1), so every slot exists before any capture has finished. The
-    // per-job totals fold in after the pool joins (a shared += would
-    // be a data race).
-    const std::size_t stride = std::size_t(opt.sample.samples) + 2;
-    const std::size_t nslots = nj * stride;
-    auto slotOf = [stride](const Unit &u) {
-        return u.index * stride +
-               (u.sample < 0 ? stride - 1 : std::size_t(u.sample));
-    };
-    auto unitAt = [stride](std::size_t slot) {
-        const std::size_t k = slot % stride;
-        return Unit{false, slot / stride, k == stride - 1 ? -1 : int(k)};
-    };
-    std::vector<double> unitWall(nslots, 0.0);
-    std::vector<double> unitQueueWait(nslots, -1.0); ///< -1: no unit
-    std::vector<char> unitTimedOut(nslots, 0);
-    std::atomic<std::uint64_t> restoreCount{0}, restoreBytes{0};
-    const auto poolStart = std::chrono::steady_clock::now();
-
-    JobWatchdog wd(nslots, opt.jobTimeout,
-                   [&plan, unitAt](std::size_t slot) {
-                       const Unit u = unitAt(slot);
-                       const SweepJob &j = plan.jobs[u.index];
-                       std::string d = j.workload + "/" + j.configKey +
-                                       " (seed " +
-                                       std::to_string(j.seed) + ")";
-                       if (u.sample >= 0)
-                           d += " sample " + std::to_string(u.sample);
-                       return d;
-                   });
-
-    auto captureUnit = [&](std::size_t w) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const Program &prog = programs[w] = loadProgram(plan, wl.names[w]);
-        std::string note;
-        SampleSet &set = sets[w];
-        set = captureSamples(warmConfig(plan, opt, wl.names[w]), prog,
-                             sp, opt.maxCycles, &note);
-        if (!note.empty())
-            notes[w].push_back({note});
-
-        // Each job's mode: sampled when the snapshots validate against
-        // its configuration, exact full run otherwise. Validation
-        // needs a Simulator (it binds program identity and geometry),
-        // so decide once per distinct configuration — a figure grid
-        // shares each configuration across jobs.
-        std::map<std::string, bool> configOk;
-        std::vector<Unit> units;
-        for (std::size_t i : wl.jobs[w]) {
-            const SweepJob &job = plan.jobs[i];
-            bool sampled = false;
-            if (set.usable()) {
-                auto it = configOk.find(job.configKey);
-                if (it == configOk.end()) {
-                    CoreConfig cfg = job.cfg;
-                    applyExecOverlay(cfg, opt);
-                    Simulator probe(cfg, prog);
-                    // samples[0] is the cold region (no image); the
-                    // first warm snapshot decides whether this config
-                    // can fork.
-                    const bool ok = Checkpoint::validate(
-                        probe, set.samples[1].bytes);
-                    if (!ok)
-                        notes[w].push_back(
-                            {"running " + job.workload + "/" +
-                             job.configKey +
-                             " as a full run (snapshot geometry "
-                             "mismatch)"});
-                    it = configOk.emplace(job.configKey, ok).first;
-                }
-                sampled = it->second;
-            }
-            if (!sampled) {
-                units.push_back({false, i, -1});
-                continue;
-            }
-            sampleResults[i].resize(set.samples.size());
-            sampleHashes[i].assign(set.samples.size(), 0);
-            for (std::size_t k = 0; k < set.samples.size(); ++k)
-                units.push_back({false, i, int(k)});
-        }
-        captureWall[w] = secondsSince(t0);
-        return units;
-    };
-
-    auto runUnit = [&](const Unit &unit) {
-        const std::size_t slot = slotOf(unit);
-        const SweepJob &job = plan.jobs[unit.index];
-        CoreConfig cfg = job.cfg;
-        applyExecOverlay(cfg, opt);
-        const Program &prog = programs[wl.ofJob[unit.index]];
-        unitQueueWait[slot] = secondsSince(poolStart);
-        const auto t0 = std::chrono::steady_clock::now();
-        if (unit.sample < 0) {
-            Simulator sim(cfg, prog);
-            wd.begin(slot, sim);
-            outcomes[unit.index].res =
-                sim.run(opt.maxCycles, false, opt.quiesceInterval);
-            wd.end(slot);
-            unitTimedOut[slot] = outcomes[unit.index].res.timedOut;
-            outcomes[unit.index].commitHash = sim.core().commitPcHash();
-            unitWall[slot] = secondsSince(t0);
-            return;
-        }
-        const SampleCheckpoint &sc =
-            sets[wl.ofJob[unit.index]].samples[size_t(unit.sample)];
-        Simulator sim(cfg, prog);
-        std::string err;
-        // Empty bytes: the exact cold-start region forks from
-        // reset instead of restoring a snapshot.
-        if (!sc.bytes.empty()) {
-            restoreCount.fetch_add(1, std::memory_order_relaxed);
-            restoreBytes.fetch_add(sc.bytes.size(),
-                                   std::memory_order_relaxed);
-        }
-        if (!sc.bytes.empty() &&
-            !Checkpoint::restore(sim, sc.bytes, &err)) {
-            // validate() passed at capture time, so this is
-            // exceptional; a zero-inst measurement drops out of the
-            // weighted aggregation (deterministically) instead of
-            // crashing.
-            warn("sample restore failed for ", job.workload, "/",
-                 job.configKey, ": ", err);
-            return;
-        }
-        wd.begin(slot, sim);
-        SimResult r = sim.runInsts(sc.measureInsts, opt.maxCycles);
-        wd.end(slot);
-        unitTimedOut[slot] = r.timedOut;
-        // An aborted sample contributes nothing (like a failed
-        // restore): zero-inst measurements drop out of the weighted
-        // aggregation deterministically.
-        if (r.timedOut)
-            return;
-        sampleHashes[unit.index][size_t(unit.sample)] =
-            sim.core().commitPcHash();
-        sampleResults[unit.index][size_t(unit.sample)] = std::move(r);
-        unitWall[slot] = secondsSince(t0);
-    };
-
-    const unsigned workers = drainUnits(
-        opt.jobs, nw, nw + nj * (stride - 1), captureUnit, runUnit);
-    if (metrics) {
-        metrics->poolWallSeconds = secondsSince(poolStart);
-        metrics->workers = workers;
-        metrics->checkpointRestores =
-            restoreCount.load(std::memory_order_relaxed);
-        metrics->checkpointRestoreBytes =
-            restoreBytes.load(std::memory_order_relaxed);
-        for (std::size_t w = 0; w < nw; ++w) {
-            metrics->busySeconds += captureWall[w];
-            if (!sets[w].usable())
-                continue;
-            ++metrics->checkpointCaptures;
-            for (const SampleCheckpoint &sc : sets[w].samples)
-                metrics->checkpointCaptureBytes += sc.bytes.size();
-        }
-    }
-    printNotes(notes);
-
-    // Watchdog retry pass: aborted units re-run once, serially, in
-    // slot order, with a fresh timer each.
-    if (wd.enabled()) {
-        for (std::size_t slot = 0; slot < nslots; ++slot) {
-            if (!unitTimedOut[slot])
-                continue;
-            const Unit u = unitAt(slot);
-            const SweepJob &j = plan.jobs[u.index];
-            warn("job watchdog: retrying ", j.workload, "/",
-                 j.configKey, " serially");
-            unitTimedOut[slot] = 0;
-            runUnit(u);
-            outcomes[u.index].retried = true;
-        }
-        for (std::size_t slot = 0; slot < nslots; ++slot)
-            if (unitTimedOut[slot])
-                outcomes[slot / stride].timedOut = true;
-    }
-
-    // Plan-ordered aggregation: a pure integer fold of the per-sample
-    // measurements, independent of which thread measured what.
-    const auto collate0 = std::chrono::steady_clock::now();
-    for (std::size_t slot = 0; slot < nslots; ++slot)
-        outcomes[slot / stride].wallSeconds += unitWall[slot];
-    for (std::size_t i = 0; i < nj; ++i) {
-        if (sampleResults[i].empty())
-            continue;
-        const SampleSet &set = sets[wl.ofJob[i]];
-        outcomes[i].res = aggregateSamples(set, sampleResults[i]);
-        outcomes[i].commitHash = foldSampleHashes(sampleHashes[i]);
-        outcomes[i].fromCheckpoint = true;
-        outcomes[i].samples = unsigned(set.samples.size());
-    }
-    if (metrics) {
-        metrics->collateSeconds = secondsSince(collate0);
-        metrics->jobs.resize(nj);
-        for (std::size_t i = 0; i < nj; ++i) {
-            ExecMetrics::JobMetrics &jm = metrics->jobs[i];
-            jm.workload = plan.jobs[i].workload;
-            jm.configKey = plan.jobs[i].configKey;
-            jm.queueWaitSeconds = -1.0; // min over the job's units
-            jm.runSeconds = outcomes[i].wallSeconds;
-        }
-        for (std::size_t slot = 0; slot < nslots; ++slot) {
-            const double qw = unitQueueWait[slot];
-            ExecMetrics::JobMetrics &jm = metrics->jobs[slot / stride];
-            if (qw >= 0.0 &&
-                (jm.queueWaitSeconds < 0.0 || qw < jm.queueWaitSeconds))
-                jm.queueWaitSeconds = qw;
-        }
-        for (ExecMetrics::JobMetrics &jm : metrics->jobs) {
-            if (jm.queueWaitSeconds < 0.0)
-                jm.queueWaitSeconds = 0.0;
-            metrics->busySeconds += jm.runSeconds;
-        }
-    }
-    return outcomes;
 }
 
 } // namespace
@@ -646,162 +324,105 @@ std::vector<RunOutcome>
 runPlan(const SweepPlan &plan, const ExecOptions &opt,
         ExecMetrics *metrics)
 {
+    sdv_assert(!opt.sample.enabled() || !opt.verify,
+               "interval sampling produces estimates that cannot be "
+               "functionally verified; drop --verify");
     if (metrics) {
         *metrics = ExecMetrics{};
         metrics->enabled = true;
         metrics->jobsAuto = opt.jobsAutoDetected;
     }
-    if (opt.sample.enabled()) {
-        sdv_assert(!opt.verify,
-                   "interval sampling produces estimates that cannot "
-                   "be functionally verified; drop --verify");
-        return runPlanSampled(plan, opt, metrics);
-    }
 
-    // One capture unit per workload builds its program, warms its
-    // snapshot under --checkpoint, then queues the workload's jobs.
-    // Per workload, written by its capture unit and published to the
-    // jobs by the queue's lock.
+    // Per workload, written by its capture unit before it queues the
+    // workload's run units (the queue's lock publishes them).
     const PlanWorkloads wl(plan);
     const std::size_t nw = wl.names.size();
+    const bool snapshots = opt.sample.enabled() || opt.checkpoint;
     std::vector<Program> programs(nw);
-    std::vector<std::vector<std::uint8_t>> checkpoints(nw);
-    std::vector<char> captured(nw, 0);
+    std::vector<SnapshotSet> sets(nw);
+    std::vector<char> fresh(nw, 0);
     std::vector<double> captureWall(nw, 0.0);
     std::vector<std::vector<Note>> notes(nw);
 
-    std::vector<RunOutcome> outcomes(plan.jobs.size());
-    JobWatchdog wd(plan.jobs.size(), opt.jobTimeout,
-                   [&plan](std::size_t u) {
-                       const SweepJob &j = plan.jobs[u];
-                       return j.workload + "/" + j.configKey +
-                              " (seed " + std::to_string(j.seed) + ")";
+    JobCollator collator(plan, opt);
+    std::mutex collatorMu; // record() folds jobs from every pool thread
+
+    // Watchdog timer slots are keyed by (job, unit), so every slot
+    // exists before any capture has finished: a job has at most S + 1
+    // units (the cold region and S warm samples).
+    const std::size_t stride = std::size_t(opt.sample.samples) + 1;
+    JobWatchdog wd(plan.jobs.size() * stride, opt.jobTimeout,
+                   [&](std::size_t slot) {
+                       const std::size_t i = slot / stride;
+                       const SweepJob &j = plan.jobs[i];
+                       std::string d = j.workload + "/" + j.configKey +
+                                       " (seed " +
+                                       std::to_string(j.seed) + ")";
+                       const int s = collator.sampleOf(i, slot % stride);
+                       if (s >= 0)
+                           d += " sample " + std::to_string(s);
+                       return d;
                    });
-
-    std::vector<double> jobQueueWait(plan.jobs.size(), 0.0);
-    std::atomic<std::uint64_t> restoreCount{0}, restoreBytes{0};
     const auto poolStart = std::chrono::steady_clock::now();
-
-    auto runJob = [&](std::size_t i) {
-        const SweepJob &job = plan.jobs[i];
-        RunOutcome &out = outcomes[i];
-        stampOutcome(out, job);
-
-        jobQueueWait[i] = secondsSince(poolStart);
-        const auto t0 = std::chrono::steady_clock::now();
-        CoreConfig cfg = job.cfg;
-        applyExecOverlay(cfg, opt);
-        cfg.engine.fault = jobFaultPlan(opt.fault, job);
-        out.cfg = cfg; ///< resolved config (fault plan, chaining mode)
-        const Program &prog = programs[wl.ofJob[i]];
-        std::optional<Simulator> sim;
-        sim.emplace(cfg, prog);
-
-        if (opt.checkpoint) {
-            const auto &bytes = checkpoints[wl.ofJob[i]];
-            // A job whose configuration cannot take the snapshot
-            // (e.g. an ablation entry varying checkpointed
-            // geometry such as the TL confidence) runs from cold
-            // instead — deterministic per job, and visible in the
-            // output via from_checkpoint. A failed restore may
-            // leave partial state, so the cold path rebuilds the
-            // simulator from scratch.
-            std::string err;
-            if (!bytes.empty() && Checkpoint::validate(*sim, bytes) &&
-                Checkpoint::restore(*sim, bytes, &err)) {
-                out.fromCheckpoint = true;
-                restoreCount.fetch_add(1, std::memory_order_relaxed);
-                restoreBytes.fetch_add(bytes.size(),
-                                       std::memory_order_relaxed);
-            } else if (!bytes.empty()) {
-                warn("running ", job.workload, "/", job.configKey,
-                     " cold", err.empty() ? "" : ": ", err);
-                sim.emplace(cfg, prog);
-            }
-        }
-
-        // Flight recorder + interval telemetry (pure observation: the
-        // simulated outcome is bit-identical with or without them).
-        obs::IntervalTelemetry telemetry(
-            opt.telemetryInterval ? opt.telemetryInterval : 1);
-        if (opt.traceEvents) {
-            out.trace = std::make_shared<obs::TraceRecorder>();
-            out.trace->configure(opt.traceCategories, opt.traceLast);
-            sim->setRecorder(out.trace.get());
-        }
-        if (opt.telemetryInterval)
-            sim->setTelemetry(&telemetry);
-
-        wd.begin(i, *sim);
-        out.res = sim->run(opt.maxCycles, opt.verify,
-                           opt.checkpoint ? 0 : opt.quiesceInterval);
-        wd.end(i);
-        out.timedOut = out.res.timedOut;
-        out.commitHash = sim->core().commitPcHash();
-        out.wallSeconds = secondsSince(t0);
-        if (opt.telemetryInterval)
-            out.telemetryJson = telemetry.toJson();
-    };
 
     auto captureUnit = [&](std::size_t w) {
         const auto t0 = std::chrono::steady_clock::now();
-        programs[w] = loadProgram(plan, wl.names[w]);
-        if (opt.checkpoint) {
-            bool took = false;
-            checkpoints[w] = captureCheckpoint(
-                plan, opt, wl.names[w], programs[w], took, notes[w]);
-            captured[w] = took;
-        }
-        captureWall[w] = secondsSince(t0);
+        programs[w] = loadProgram(wl.names[w], plan.scale, plan.footprint);
+        fresh[w] = snapshots && captureOrReuse(plan, opt, wl.names[w],
+                                               programs[w], sets[w],
+                                               notes[w]);
+        std::vector<std::string> shapeNotes;
+        collator.shape(wl.jobs[w], snapshots ? &sets[w] : nullptr,
+                       shapeNotes);
         std::vector<Unit> units;
+        for (const std::string &n : shapeNotes)
+            notes[w].push_back({n});
         for (std::size_t i : wl.jobs[w])
-            units.push_back({false, i, -1});
+            for (unsigned k = 0; k < collator.units(i); ++k)
+                units.push_back({false, i, k});
+        captureWall[w] = secondsSince(t0);
         return units;
     };
-    const unsigned workers =
-        drainUnits(opt.jobs, nw, nw + plan.jobs.size(), captureUnit,
-                   [&](const Unit &u) { runJob(u.index); });
+    auto runOne = [&](std::size_t i, unsigned k) {
+        const std::size_t slot = i * stride + k;
+        const double queueWait = secondsSince(poolStart);
+        UnitOutcome r = runUnit({plan.jobs[i], programs[wl.ofJob[i]], opt,
+                                 collator.source(i), collator.sampleOf(i, k)},
+                                wd.begin(slot));
+        wd.end(slot);
+        std::lock_guard<std::mutex> lk(collatorMu);
+        collator.record(i, k, std::move(r), queueWait);
+    };
+    const unsigned workers = drainUnits(
+        opt.jobs, nw, nw + plan.jobs.size() * stride, captureUnit,
+        [&](const Unit &u) { runOne(u.index, u.part); });
     printNotes(notes);
 
-    // Watchdog retry pass: every aborted job gets one serial re-run
-    // with an uncontended machine and a fresh timer. A job that times
-    // out again stays marked failed (timedOut && !finished).
-    if (wd.enabled()) {
-        for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-            if (!outcomes[i].timedOut)
-                continue;
-            warn("job watchdog: retrying ", plan.jobs[i].workload, "/",
-                 plan.jobs[i].configKey, " serially");
-            outcomes[i] = RunOutcome{};
-            runJob(i);
-            outcomes[i].retried = true;
-        }
-    }
+    // Watchdog retry pass: every aborted unit gets one serial re-run, in
+    // (job, unit) order, with an uncontended machine and a fresh timer.
+    // A unit that times out again leaves its job marked failed.
+    if (wd.enabled())
+        for (std::size_t i = 0; i < plan.jobs.size(); ++i)
+            for (unsigned k = 0; k < collator.units(i); ++k) {
+                if (!collator.unit(i, k).timedOut)
+                    continue;
+                warn("job watchdog: retrying ", plan.jobs[i].workload,
+                     "/", plan.jobs[i].configKey, " serially");
+                runOne(i, k);
+                collator.outcome(i).retried = true;
+            }
     if (metrics) {
         metrics->poolWallSeconds = secondsSince(poolStart);
         metrics->workers = workers;
         for (std::size_t w = 0; w < nw; ++w) {
             metrics->busySeconds += captureWall[w];
-            if (!captured[w])
-                continue;
-            ++metrics->checkpointCaptures;
-            metrics->checkpointCaptureBytes += checkpoints[w].size();
+            if (fresh[w])
+                countCapture(*metrics, sets[w]);
         }
-        metrics->checkpointRestores =
-            restoreCount.load(std::memory_order_relaxed);
-        metrics->checkpointRestoreBytes =
-            restoreBytes.load(std::memory_order_relaxed);
-        metrics->jobs.resize(plan.jobs.size());
-        for (std::size_t i = 0; i < plan.jobs.size(); ++i) {
-            ExecMetrics::JobMetrics &jm = metrics->jobs[i];
-            jm.workload = plan.jobs[i].workload;
-            jm.configKey = plan.jobs[i].configKey;
-            jm.queueWaitSeconds = jobQueueWait[i];
-            jm.runSeconds = outcomes[i].wallSeconds;
-            metrics->busySeconds += jm.runSeconds;
-        }
+        collator.addMetrics(*metrics);
+        metrics->collateSeconds = collator.foldSeconds();
     }
-    return outcomes;
+    return collator.take();
 }
 
 std::string

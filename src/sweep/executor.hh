@@ -1,19 +1,16 @@
 /**
  * @file
  * Parallel sweep executor: runs a SweepPlan's jobs on a pool of worker
- * threads, one private Simulator per job (simulations share no mutable
- * state — the only shared object is the pre-decoded, read-only
- * Program), and collates results in plan order. Results are a pure
- * function of the plan and options: serial and parallel execution
- * produce byte-identical JSON.
+ * threads, one private Simulator per unit (the only shared object is
+ * the pre-decoded, read-only Program), and collates results in plan
+ * order. Results are a pure function of the plan and options: serial
+ * and parallel execution produce byte-identical JSON.
  *
  * Every mode runs on one ready queue: one capture unit per workload
- * (plan order) builds its program and, with checkpointing or
- * sampling, captures its snapshots under a deterministic warm-up
- * configuration, then queues the workload's run units behind it.
- * Every configuration of that workload forks from the snapshots
- * instead of re-simulating the warm-up; see src/sweep/checkpoint.hh
- * and docs/sweep.md.
+ * (plan order) builds its program, captures its snapshots when
+ * checkpointing or sampling, shapes its jobs and queues their units
+ * behind it. Units run and collate through src/sweep/unit.hh, which the
+ * sweep server shares; see docs/sweep.md.
  */
 
 #ifndef SDV_SWEEP_EXECUTOR_HH
@@ -117,7 +114,7 @@ struct ExecMetrics
     {
         std::string workload;
         std::string configKey;
-        double queueWaitSeconds = 0.0; ///< pool start -> job start
+        double queueWaitSeconds = 0.0; ///< wait before its first unit ran
         double runSeconds = 0.0;       ///< job simulation time
     };
     std::vector<JobMetrics> jobs;
@@ -207,21 +204,16 @@ struct RunOutcome
                               ///< deterministic JSON payload
 
     /** Flight recorder this job filled (ExecOptions::traceEvents;
-     *  null otherwise). shared_ptr because outcomes are copied during
-     *  the watchdog retry pass. */
+     *  null otherwise); shared with the unit that filled it. */
     std::shared_ptr<obs::TraceRecorder> trace;
     /** Interval-telemetry JSON array ("[...]") for this job
      *  (ExecOptions::telemetryInterval; empty otherwise). */
     std::string telemetryJson;
 };
 
-/**
- * Run every job of @p plan and return outcomes in plan order.
- * Programs are built and pre-decoded once per workload (shared
- * read-only) by the workload's capture unit, which also captures its
- * snapshots when checkpointing or sampling is on; the workload's jobs
- * start when their capture unit finishes.
- */
+/** Run every job of @p plan and return outcomes in plan order: capture
+ *  units, then run units on one ready queue, one watchdog retry pass,
+ *  and a JobCollator fold (src/sweep/unit.hh). */
 std::vector<RunOutcome> runPlan(const SweepPlan &plan,
                                 const ExecOptions &opt,
                                 ExecMetrics *metrics = nullptr);

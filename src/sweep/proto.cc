@@ -43,6 +43,16 @@ writeAll(int fd, const void *buf, std::size_t len)
     return true;
 }
 
+/** Frame header: u32 LE payload length, then the message type. */
+bool
+writeHeader(int fd, MsgType t, std::size_t len)
+{
+    const std::uint8_t hdr[5] = {
+        std::uint8_t(len), std::uint8_t(len >> 8), std::uint8_t(len >> 16),
+        std::uint8_t(len >> 24), std::uint8_t(t)};
+    return writeAll(fd, hdr, sizeof(hdr));
+}
+
 bool
 readAll(int fd, void *buf, std::size_t len)
 {
@@ -159,21 +169,32 @@ decodeRequest(Deserializer &des, SweepRequest &r)
     return des.ok();
 }
 
+/** A stream socket plus @p path as its address. @return -1 (with
+ *  @p err, and errno set for a socket() failure) on error. */
+int
+unixSocket(const std::string &path, sockaddr_un &addr, std::string *err)
+{
+    addr.sun_family = AF_UNIX;
+    if (path.size() >= sizeof(addr.sun_path)) {
+        if (err)
+            *err = "socket path too long: " + path;
+        errno = 0;
+        return -1;
+    }
+    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (fd < 0 && err)
+        *err = std::string("socket: ") + std::strerror(errno);
+    return fd;
+}
+
 } // namespace
 
 bool
 Framed::send(MsgType t, const std::vector<std::uint8_t> &payload)
 {
-    if (fd_ < 0 || payload.size() > kMaxFrameBytes)
-        return false;
-    std::uint8_t hdr[5];
-    const std::uint32_t len = std::uint32_t(payload.size());
-    hdr[0] = std::uint8_t(len);
-    hdr[1] = std::uint8_t(len >> 8);
-    hdr[2] = std::uint8_t(len >> 16);
-    hdr[3] = std::uint8_t(len >> 24);
-    hdr[4] = std::uint8_t(t);
-    return writeAll(fd_, hdr, sizeof(hdr)) &&
+    return fd_ >= 0 && payload.size() <= kMaxFrameBytes &&
+           writeHeader(fd_, t, payload.size()) &&
            writeAll(fd_, payload.data(), payload.size());
 }
 
@@ -205,35 +226,17 @@ bool
 Framed::sendTruncated(MsgType t, const std::vector<std::uint8_t> &payload,
                       std::size_t bytes)
 {
-    if (fd_ < 0 || payload.size() > kMaxFrameBytes)
-        return false;
-    std::uint8_t hdr[5];
-    const std::uint32_t len = std::uint32_t(payload.size());
-    hdr[0] = std::uint8_t(len);
-    hdr[1] = std::uint8_t(len >> 8);
-    hdr[2] = std::uint8_t(len >> 16);
-    hdr[3] = std::uint8_t(len >> 24);
-    hdr[4] = std::uint8_t(t);
-    if (bytes > payload.size())
-        bytes = payload.size();
-    return writeAll(fd_, hdr, sizeof(hdr)) &&
-           writeAll(fd_, payload.data(), bytes);
+    return fd_ >= 0 && payload.size() <= kMaxFrameBytes &&
+           writeHeader(fd_, t, payload.size()) &&
+           writeAll(fd_, payload.data(), std::min(bytes, payload.size()));
 }
 
 bool
 Framed::sendChunked(MsgType t, const std::vector<std::uint8_t> &payload,
                     std::size_t chunk, unsigned us_delay)
 {
-    if (fd_ < 0 || payload.size() > kMaxFrameBytes || chunk == 0)
-        return false;
-    std::uint8_t hdr[5];
-    const std::uint32_t len = std::uint32_t(payload.size());
-    hdr[0] = std::uint8_t(len);
-    hdr[1] = std::uint8_t(len >> 8);
-    hdr[2] = std::uint8_t(len >> 16);
-    hdr[3] = std::uint8_t(len >> 24);
-    hdr[4] = std::uint8_t(t);
-    if (!writeAll(fd_, hdr, sizeof(hdr)))
+    if (fd_ < 0 || payload.size() > kMaxFrameBytes || chunk == 0 ||
+        !writeHeader(fd_, t, payload.size()))
         return false;
     for (std::size_t off = 0; off < payload.size(); off += chunk) {
         const std::size_t n = std::min(chunk, payload.size() - off);
@@ -260,18 +263,8 @@ connectUnix(const std::string &path, std::string *err, int *errno_out)
     if (errno_out)
         *errno_out = 0;
     sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path)) {
-        if (err)
-            *err = "socket path too long: " + path;
-        return -1;
-    }
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    const int fd = unixSocket(path, addr, err);
     if (fd < 0) {
-        if (err)
-            *err = std::string("socket: ") + std::strerror(errno);
         if (errno_out)
             *errno_out = errno;
         return -1;
@@ -292,20 +285,9 @@ int
 listenUnix(const std::string &path, std::string *err)
 {
     sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (path.size() >= sizeof(addr.sun_path)) {
-        if (err)
-            *err = "socket path too long: " + path;
+    const int fd = unixSocket(path, addr, err);
+    if (fd < 0)
         return -1;
-    }
-    std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-        if (err)
-            *err = std::string("socket: ") + std::strerror(errno);
-        return -1;
-    }
     ::unlink(path.c_str()); // replace a stale socket file
     if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
                sizeof(addr)) != 0 ||
@@ -418,12 +400,13 @@ UnitResult::encode() const
     ser.b(ok);
     ser.str(message);
     ser.u32(std::uint32_t(sizeof(SimResult)));
-    ser.bytes(&res, sizeof(SimResult));
-    ser.u64(commitHash);
-    ser.b(fromCheckpoint);
-    ser.b(captured);
-    ser.u64(programHash);
-    ser.u64(std::uint64_t(wallSeconds * 1e6)); // microseconds
+    ser.bytes(&run.res, sizeof(SimResult));
+    ser.u64(run.commitHash);
+    ser.b(run.fromCheckpoint);
+    ser.b(run.timedOut);
+    ser.u64(run.restoredBytes);
+    ser.u64(std::uint64_t(run.wallSeconds * 1e6)); // microseconds
+    ser.u64(std::uint64_t(wallSeconds * 1e6));
     return ser.finish();
 }
 
@@ -439,12 +422,13 @@ UnitResult::decode(const std::vector<std::uint8_t> &payload,
     out.message = des.str();
     if (des.u32() != sizeof(SimResult))
         return false; // mismatched binary
-    if (!des.bytes(&out.res, sizeof(SimResult)))
+    if (!des.bytes(&out.run.res, sizeof(SimResult)))
         return false;
-    out.commitHash = des.u64();
-    out.fromCheckpoint = des.b();
-    out.captured = des.b();
-    out.programHash = des.u64();
+    out.run.commitHash = des.u64();
+    out.run.fromCheckpoint = des.b();
+    out.run.timedOut = des.b();
+    out.run.restoredBytes = des.u64();
+    out.run.wallSeconds = double(des.u64()) * 1e-6;
     out.wallSeconds = double(des.u64()) * 1e-6;
     return des.atEnd();
 }

@@ -32,6 +32,7 @@
 #include "sim/simulator.hh"
 #include "sweep/executor.hh"
 #include "sweep/plan.hh"
+#include "sweep/unit.hh"
 
 namespace sdv {
 namespace sweep {
@@ -253,17 +254,13 @@ struct UnitResult
     bool ok = false;
     std::string message;      ///< failure description when !ok
 
-    // Run payload
-    SimResult res{};
-    std::uint64_t commitHash = 0;
-    bool fromCheckpoint = false;
+    /** Run payload: runUnit()'s outcome (its observers stay
+     *  in-process; requests never carry them). */
+    UnitOutcome run;
 
-    // Capture payload
-    bool captured = false;    ///< false: no usable boundary (negative
-                              ///< result, still cached)
-    std::uint64_t programHash = 0;
-
-    double wallSeconds = 0.0; ///< host-side metrics only
+    /** Whole-unit host time (a capture's too; its snapshot set is
+     *  the file it published). Host-side metrics only. */
+    double wallSeconds = 0.0;
 
     // Server-side annotations, never on the wire: workers always
     // report Generic failures; the server synthesizes Deadline ones

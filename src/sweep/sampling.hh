@@ -8,12 +8,9 @@
  * *capture pass* per workload walks the program boundary to boundary
  * (Simulator::advanceTo), serializing a checkpoint at each; the sample
  * positions are spread evenly over the program's dynamic length
- * (counted with one cheap functional execution). The executor runs
- * each workload's capture pass as one *capture unit* on its pool:
- * capture units head the ready queue in plan order, and each one, when
- * it finishes, appends its workload's (config x sample) forks behind
- * it, so one workload's forks run while another is still capturing.
- * Every configuration of the sweep *forks per sample* from the
+ * (counted with one cheap functional execution). Every execution path
+ * runs it through captureSnapshots() (src/sweep/unit.hh). Every
+ * configuration of the sweep *forks per sample* from the
  * snapshots, and the per-sample statistics are folded into one
  * SimResult estimate: each counter is extrapolated by the region
  * weight (region instructions / measured instructions) in pure integer

@@ -16,8 +16,7 @@
 #include "common/log.hh"
 #include "common/serialize.hh"
 #include "sim/config.hh"
-#include "sweep/checkpoint.hh"
-#include "sweep/sampling.hh"
+#include "sweep/unit.hh"
 #include "sweep/worker.hh"
 
 namespace sdv {
@@ -28,14 +27,6 @@ namespace {
 /** A unit that crashes this many workers is abandoned (its request
  *  fails with context) instead of cycling the pool forever. */
 constexpr unsigned kMaxUnitAttempts = 3;
-
-double
-secondsSince(const std::chrono::steady_clock::time_point &t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
 
 /** Identity of the worker binary (size, mtime, inode): a snapshot
  *  captured by a different build must never be reused, so this folds
@@ -57,24 +48,27 @@ binaryFingerprint(const struct stat &st)
  *  client that disconnects mid-request cannot dangle late units. */
 struct RequestState
 {
-    SweepPlan plan;
-    std::map<std::string, std::shared_ptr<const SnapshotSet>> sets;
-    std::map<std::string, std::string> snapshotPaths;
-    std::vector<RunOutcome> outcomes;
-    std::vector<std::vector<SimResult>> sampleResults;
-    std::vector<std::vector<std::uint64_t>> sampleHashes;
-    std::vector<unsigned> unitsLeft;
-    std::vector<char> jobDone;
+    RequestState(SweepPlan p, const ExecOptions &o)
+        : plan(std::move(p)), eopt(o), collator(plan, eopt)
+    {
+    }
+
+    const SweepPlan plan;
+    const ExecOptions eopt;
+    /** Per workload ordinal (sampled / checkpoint modes only); the
+     *  collator's jobs point into them. */
+    std::vector<std::shared_ptr<const SnapshotSet>> sets;
+    std::vector<std::string> snapshotPaths;
     /** Pins against cache eviction, held for the request's lifetime so
      *  no worker ever opens an unlinked snapshot file. */
     std::vector<std::shared_ptr<void>> cachePins;
 
-    std::mutex m;
+    std::mutex m; ///< guards the collator and everything below
     std::condition_variable cv;
+    JobCollator collator;
     bool failed = false;
     std::string failMsg;
     proto::ErrKind failKind = proto::ErrKind::Generic;
-    double busySeconds = 0.0;
     // Queue-age stats of this request's dispatched units.
     std::uint64_t waitCount = 0;
     double waitSum = 0.0;
@@ -283,6 +277,18 @@ SweepServer::finishUnit(std::shared_ptr<PendingUnit> &u,
 }
 
 void
+SweepServer::failUnit(std::shared_ptr<PendingUnit> &u, std::string why,
+                      proto::ErrKind kind)
+{
+    proto::UnitResult r;
+    r.id = u->msg.id;
+    r.message = std::move(why);
+    r.errKind = kind;
+    r.queueWaitSeconds = u->waitSeconds;
+    finishUnit(u, std::move(r));
+}
+
+void
 SweepServer::requeueAfterCrash(const std::shared_ptr<PendingUnit> &u)
 {
     ++u->attempts;
@@ -291,12 +297,9 @@ SweepServer::requeueAfterCrash(const std::shared_ptr<PendingUnit> &u)
     u->msg.chaosMode = proto::ChaosMode::None;
     u->msg.chaosParam = 0;
     if (u->attempts >= kMaxUnitAttempts) {
-        proto::UnitResult r;
-        r.id = u->msg.id;
-        r.message = "unit abandoned after " +
-                    std::to_string(u->attempts) + " worker crashes";
         auto uu = u;
-        finishUnit(uu, std::move(r));
+        failUnit(uu, "unit abandoned after " +
+                         std::to_string(u->attempts) + " worker crashes");
         return;
     }
     {
@@ -316,13 +319,8 @@ SweepServer::failPendingUnits(const char *why)
         std::lock_guard<std::mutex> lk(qm_);
         drained = queue_.drain();
     }
-    for (auto &u : drained) {
-        proto::UnitResult r;
-        r.id = u->msg.id;
-        r.message = why;
-        r.errKind = proto::ErrKind::Shutdown;
-        finishUnit(u, std::move(r));
-    }
+    for (auto &u : drained)
+        failUnit(u, why, proto::ErrKind::Shutdown);
 }
 
 proto::ServerStats
@@ -382,12 +380,8 @@ SweepServer::workerLoop(const std::shared_ptr<proto::Framed> &link,
         // fail instantly instead of burning worker time on a result
         // nobody is waiting for.
         if (u->hasDeadline && dispatchedAt >= u->deadline) {
-            proto::UnitResult r;
-            r.id = u->msg.id;
-            r.message = "request deadline expired";
-            r.errKind = proto::ErrKind::Deadline;
-            r.queueWaitSeconds = u->waitSeconds;
-            finishUnit(u, std::move(r));
+            failUnit(u, "request deadline expired",
+                     proto::ErrKind::Deadline);
             continue;
         }
 
@@ -486,16 +480,11 @@ SweepServer::workerLoop(const std::shared_ptr<proto::Framed> &link,
     if (died) {
         link->close();
         if (u) {
-            if (deadlineKill) {
-                proto::UnitResult r;
-                r.id = u->msg.id;
-                r.message = "unit killed: request deadline expired";
-                r.errKind = proto::ErrKind::Deadline;
-                r.queueWaitSeconds = u->waitSeconds;
-                finishUnit(u, std::move(r));
-            } else {
+            if (deadlineKill)
+                failUnit(u, "unit killed: request deadline expired",
+                         proto::ErrKind::Deadline);
+            else
                 requeueAfterCrash(u);
-            }
         }
         int status = 0;
         ::waitpid(pid, &status, 0);
@@ -568,15 +557,19 @@ SweepServer::handleSubmit(proto::Framed &link,
     const auto deadlineTp =
         t0 + std::chrono::milliseconds(req.deadlineMs);
 
-    const ExecOptions &eopt = req.eopt;
-    auto st = std::make_shared<RequestState>();
-    st->plan = buildPlan(req.plan, req.popt);
+    auto st = std::make_shared<RequestState>(
+        buildPlan(req.plan, req.popt), req.eopt);
+    const ExecOptions &eopt = st->eopt;
     const std::size_t nJobs = st->plan.jobs.size();
-    st->outcomes.resize(nJobs);
-    st->sampleResults.resize(nJobs);
-    st->sampleHashes.resize(nJobs);
-    st->unitsLeft.assign(nJobs, 0);
-    st->jobDone.assign(nJobs, 0);
+    const PlanWorkloads wl(st->plan);
+
+    // Request metrics (host-side rider; the deterministic payload is
+    // the record stream).
+    ExecMetrics m;
+    m.enabled = true;
+    m.serve = true;
+    m.workers = numWorkers_;
+    m.jobsAuto = opt_.workers == 0;
 
     // Chaos budgets: modes are assigned to units in creation order
     // (exits first, then hangs, corrupts, truncations, delays,
@@ -584,60 +577,51 @@ SweepServer::handleSubmit(proto::Framed &link,
     // randomness. Retried units always run clean.
     proto::ChaosSpec chaosLeft = req.chaos;
     auto takeChaos = [&chaosLeft](std::uint32_t *param) {
+        const std::pair<std::uint32_t *, proto::ChaosMode> budgets[] = {
+            {&chaosLeft.exitUnits, proto::ChaosMode::Exit},
+            {&chaosLeft.hangUnits, proto::ChaosMode::Hang},
+            {&chaosLeft.corruptUnits, proto::ChaosMode::Corrupt},
+            {&chaosLeft.truncUnits, proto::ChaosMode::Trunc},
+            {&chaosLeft.delayUnits, proto::ChaosMode::Delay},
+            {&chaosLeft.dribbleUnits, proto::ChaosMode::Dribble},
+        };
         *param = 0;
-        if (chaosLeft.exitUnits > 0) {
-            --chaosLeft.exitUnits;
-            return proto::ChaosMode::Exit;
-        }
-        if (chaosLeft.hangUnits > 0) {
-            --chaosLeft.hangUnits;
-            return proto::ChaosMode::Hang;
-        }
-        if (chaosLeft.corruptUnits > 0) {
-            --chaosLeft.corruptUnits;
-            return proto::ChaosMode::Corrupt;
-        }
-        if (chaosLeft.truncUnits > 0) {
-            --chaosLeft.truncUnits;
-            return proto::ChaosMode::Trunc;
-        }
-        if (chaosLeft.delayUnits > 0) {
-            --chaosLeft.delayUnits;
-            *param = chaosLeft.delayMs;
-            return proto::ChaosMode::Delay;
-        }
-        if (chaosLeft.dribbleUnits > 0) {
-            --chaosLeft.dribbleUnits;
-            return proto::ChaosMode::Dribble;
+        for (const auto &[left, mode] : budgets) {
+            if (*left == 0)
+                continue;
+            --*left;
+            if (mode == proto::ChaosMode::Delay)
+                *param = chaosLeft.delayMs;
+            return mode;
         }
         return proto::ChaosMode::None;
     };
 
-    auto stampScheduling = [&](const std::shared_ptr<PendingUnit> &pu) {
+    auto newUnit = [&](proto::UnitKind kind) {
+        auto pu = std::make_shared<PendingUnit>();
+        pu->msg.id = nextUnitId_.fetch_add(1);
+        pu->msg.kind = kind;
+        pu->msg.req = req;
         pu->clientId = clientId;
         pu->priority = priority;
         pu->hasDeadline = hasDeadline;
         pu->deadline = deadlineTp;
         pu->msg.chaosMode = takeChaos(&pu->msg.chaosParam);
+        return pu;
     };
 
-    std::uint64_t unitsDispatched = 0;
-    std::uint64_t reqHits = 0, reqMisses = 0, reqWaits = 0;
-
     // --- Snapshot acquisition (sampled and one-boundary checkpoint
-    // modes): one single-flight cache acquire per distinct workload;
-    // a miss dispatches the capture pass to the worker pool.
-    const bool sampled = eopt.sample.enabled();
-    if (sampled || eopt.checkpoint) {
-        for (const SweepJob &job : st->plan.jobs) {
-            if (st->sets.count(job.workload))
-                continue;
-            const std::uint64_t warmHash =
-                configIdentityHash(warmConfig(st->plan, eopt,
-                                              job.workload));
-            const std::string key = snapshotKey(req, job.workload,
-                                                warmHash,
-                                                binFingerprint_);
+    // modes): one single-flight cache acquire per workload; a miss
+    // dispatches the capture pass to the worker pool. Each workload's
+    // jobs are shaped against its snapshots serially, before any unit
+    // runs, so fallbacks never depend on scheduling.
+    if (eopt.sample.enabled() || eopt.checkpoint) {
+        for (std::size_t w = 0; w < wl.names.size(); ++w) {
+            const std::string &workload = wl.names[w];
+            const std::uint64_t warmHash = configIdentityHash(
+                warmConfig(st->plan, eopt, workload));
+            const std::string key =
+                snapshotKey(req, workload, warmHash, binFingerprint_);
             // Pin before acquiring: from here until the request ends,
             // eviction must never unlink this key's file under the
             // units that will read it.
@@ -645,20 +629,16 @@ SweepServer::handleSubmit(proto::Framed &link,
             proto::ErrKind captureKind = proto::ErrKind::Generic;
             auto capture = [&](const std::string &path,
                                std::string *cerr) {
-                auto pu = std::make_shared<PendingUnit>();
-                pu->msg.id = nextUnitId_.fetch_add(1);
-                pu->msg.kind = proto::UnitKind::Capture;
-                pu->msg.req = req;
-                pu->msg.workload = job.workload;
+                auto pu = newUnit(proto::UnitKind::Capture);
+                pu->msg.workload = workload;
                 pu->msg.snapshotPath = path;
-                stampScheduling(pu);
                 std::promise<proto::UnitResult> prom;
                 auto fut = prom.get_future();
                 pu->done = [&prom](proto::UnitResult &&r) {
                     prom.set_value(std::move(r));
                 };
                 enqueue(pu, false);
-                ++unitsDispatched;
+                ++m.unitsDispatched;
                 proto::UnitResult r = fut.get();
                 if (!r.ok) {
                     if (cerr)
@@ -670,7 +650,7 @@ SweepServer::handleSubmit(proto::Framed &link,
             SnapshotCache::Outcome oc = SnapshotCache::Outcome::Hit;
             auto set = cache_.acquire(key, capture, &err, &oc);
             if (!set) {
-                reject("snapshot capture failed for '" + job.workload +
+                reject("snapshot capture failed for '" + workload +
                        "': " + err,
                        captureKind == proto::ErrKind::Deadline
                            ? proto::ErrKind::Deadline
@@ -678,137 +658,46 @@ SweepServer::handleSubmit(proto::Framed &link,
                 return;
             }
             switch (oc) {
-            case SnapshotCache::Outcome::Hit: ++reqHits; break;
-            case SnapshotCache::Outcome::Miss: ++reqMisses; break;
-            case SnapshotCache::Outcome::Wait: ++reqWaits; break;
+            case SnapshotCache::Outcome::Hit: ++m.cacheHits; break;
+            case SnapshotCache::Outcome::Miss:
+                ++m.cacheMisses;
+                countCapture(m, *set);
+                break;
+            case SnapshotCache::Outcome::Wait: ++m.cacheWaits; break;
             }
-            st->sets.emplace(job.workload, std::move(set));
-            st->snapshotPaths.emplace(job.workload, cache_.pathFor(key));
+            std::vector<std::string> notes;
+            st->collator.shape(wl.jobs[w], set.get(), notes);
+            for (const std::string &n : notes)
+                warn(n);
+            st->sets.push_back(std::move(set));
+            st->snapshotPaths.push_back(cache_.pathFor(key));
         }
     }
 
-    // --- Decide each job's execution shape and seed its outcome,
-    // exactly as the corresponding in-process path would (serially,
-    // before any unit runs: fallbacks never depend on scheduling).
-    std::map<std::pair<std::string, std::string>, bool> configOk;
-    auto jobSampled = [&](const SweepJob &job) {
-        const auto &set = st->sets.at(job.workload);
-        if (!set->captured || !set->sampled || !set->set.usable())
-            return false;
-        const auto key = std::make_pair(job.workload, job.configKey);
-        auto it = configOk.find(key);
-        if (it == configOk.end()) {
-            CoreConfig cfg = job.cfg;
-            applyExecOverlay(cfg, eopt);
-            // samples[0] is the cold region (no image); the first warm
-            // snapshot decides whether this config can fork. Geometry
-            // is checked Simulator-free (the daemon never builds
-            // programs); program identity holds by construction — the
-            // set was captured from this workload's own build.
-            const bool ok = Checkpoint::validateImage(
-                cfg, set->set.samples[1].bytes);
-            if (!ok)
-                warn("running ", job.workload, "/", job.configKey,
-                     " as a full run (snapshot geometry mismatch)");
-            it = configOk.emplace(key, ok).first;
-        }
-        return it->second;
-    };
-
+    // --- Enqueue the units in plan order, each completing into the
+    // shared collator from whichever worker thread finishes it.
     for (std::size_t i = 0; i < nJobs; ++i) {
-        const SweepJob &job = st->plan.jobs[i];
-        stampOutcome(st->outcomes[i], job);
-        if (sampled) {
-            st->unitsLeft[i] =
-                jobSampled(job)
-                    ? unsigned(st->sets.at(job.workload)
-                                   ->set.samples.size())
-                    : 1;
-            if (st->unitsLeft[i] > 1) {
-                st->sampleResults[i].resize(st->unitsLeft[i]);
-                st->sampleHashes[i].assign(st->unitsLeft[i], 0);
-            }
-        } else {
-            // The full-run path resolves the job's machine config up
-            // front (overlay + per-job fault plan) — the record
-            // serializer reads fault state from it.
-            CoreConfig cfg = job.cfg;
-            applyExecOverlay(cfg, eopt);
-            cfg.engine.fault = jobFaultPlan(eopt.fault, job);
-            st->outcomes[i].cfg = cfg;
-            st->unitsLeft[i] = 1;
-        }
-    }
-
-    // --- Enqueue every unit in serial order, each completing into the
-    // shared request state from whichever worker thread finishes it.
-    auto makeUnit = [&](std::uint32_t jobIndex, std::int32_t sample) {
-        auto pu = std::make_shared<PendingUnit>();
-        pu->msg.id = nextUnitId_.fetch_add(1);
-        pu->msg.kind = proto::UnitKind::Run;
-        pu->msg.req = req;
-        pu->msg.jobIndex = jobIndex;
-        pu->msg.sample = sample;
-        const std::string &wl = st->plan.jobs[jobIndex].workload;
-        if (st->snapshotPaths.count(wl))
-            pu->msg.snapshotPath = st->snapshotPaths.at(wl);
-        stampScheduling(pu);
-        return pu;
-    };
-
-    for (std::size_t i = 0; i < nJobs; ++i) {
-        const bool jobIsSampled = sampled && st->unitsLeft[i] > 1;
-        const unsigned n = st->unitsLeft[i];
-        for (unsigned k = 0; k < n; ++k) {
-            auto pu = makeUnit(std::uint32_t(i),
-                               jobIsSampled ? std::int32_t(k) : -1);
-            const bool fullRunMode = !sampled;
-            pu->done = [st, i, k, jobIsSampled,
-                        fullRunMode](proto::UnitResult &&r) {
+        for (unsigned k = 0; k < st->collator.units(i); ++k) {
+            auto pu = newUnit(proto::UnitKind::Run);
+            pu->msg.jobIndex = std::uint32_t(i);
+            pu->msg.sample = st->collator.sampleOf(i, k);
+            if (st->collator.source(i))
+                pu->msg.snapshotPath =
+                    st->snapshotPaths[wl.ofJob[i]];
+            pu->done = [st, i, k](proto::UnitResult &&r) {
                 std::lock_guard<std::mutex> lk(st->m);
-                RunOutcome &o = st->outcomes[i];
                 ++st->waitCount;
                 st->waitSum += r.queueWaitSeconds;
-                st->waitMax = std::max(st->waitMax,
-                                       r.queueWaitSeconds);
-                if (!r.ok) {
+                st->waitMax = std::max(st->waitMax, r.queueWaitSeconds);
+                if (!r.ok)
                     st->fail(r.message, r.errKind);
-                } else if (jobIsSampled) {
-                    st->sampleResults[i][k] = r.res;
-                    st->sampleHashes[i][k] = r.commitHash;
-                    o.wallSeconds += r.wallSeconds;
-                    st->busySeconds += r.wallSeconds;
-                } else {
-                    o.res = r.res;
-                    o.commitHash = r.commitHash;
-                    o.wallSeconds = r.wallSeconds;
-                    st->busySeconds += r.wallSeconds;
-                    if (fullRunMode) {
-                        o.fromCheckpoint = r.fromCheckpoint;
-                        o.timedOut = r.res.timedOut;
-                    }
-                    // Sampled-mode full-run fallback: fromCheckpoint
-                    // and timedOut stay false, as in runPlanSampled.
-                }
-                if (--st->unitsLeft[i] == 0) {
-                    if (jobIsSampled) {
-                        // Plan-ordered aggregation: a pure integer
-                        // fold, independent of worker scheduling.
-                        const auto &set =
-                            st->sets.at(o.workload)->set;
-                        o.res = aggregateSamples(set,
-                                                 st->sampleResults[i]);
-                        o.commitHash =
-                            foldSampleHashes(st->sampleHashes[i]);
-                        o.fromCheckpoint = true;
-                        o.samples = unsigned(set.samples.size());
-                    }
-                    st->jobDone[i] = 1;
-                }
+                else
+                    st->collator.record(i, k, std::move(r.run),
+                                        r.queueWaitSeconds);
                 st->cv.notify_all();
             };
             enqueue(pu, false);
-            ++unitsDispatched;
+            ++m.unitsDispatched;
         }
     }
 
@@ -819,7 +708,9 @@ SweepServer::handleSubmit(proto::Framed &link,
         std::string json;
         {
             std::unique_lock<std::mutex> lk(st->m);
-            auto ready = [&] { return st->jobDone[i] || st->failed; };
+            auto ready = [&] {
+                return st->collator.done(i) || st->failed;
+            };
             if (hasDeadline) {
                 if (!st->cv.wait_until(lk, deadlineTp, ready))
                     st->fail("request deadline (" +
@@ -839,7 +730,7 @@ SweepServer::handleSubmit(proto::Framed &link,
                            : proto::ErrKind::Generic);
                 return;
             }
-            json = resultRecordJson(st->outcomes[i]);
+            json = resultRecordJson(st->collator.outcome(i));
         }
         proto::ResultRecord rec;
         rec.index = std::uint32_t(i);
@@ -857,90 +748,34 @@ SweepServer::handleSubmit(proto::Framed &link,
         return;
     }
 
-    // --- Request metrics (host-side rider; the deterministic payload
-    // is the record stream above).
-    ExecMetrics m;
-    m.enabled = true;
-    m.serve = true;
-    m.workers = numWorkers_;
-    m.jobsAuto = opt_.workers == 0;
     m.poolWallSeconds = secondsSince(t0);
     m.requestSeconds = m.poolWallSeconds;
     m.collateSeconds = secondsSince(collate0);
-    m.cacheHits = reqHits;
-    m.cacheMisses = reqMisses;
-    m.cacheWaits = reqWaits;
-    m.checkpointCaptures = reqMisses;
-    m.unitsDispatched = unitsDispatched;
     {
         std::lock_guard<std::mutex> lk(st->m);
-        m.busySeconds = st->busySeconds;
-        m.jobs.resize(nJobs);
-        for (std::size_t i = 0; i < nJobs; ++i) {
-            ExecMetrics::JobMetrics &jm = m.jobs[i];
-            jm.workload = st->plan.jobs[i].workload;
-            jm.configKey = st->plan.jobs[i].configKey;
-            jm.queueWaitSeconds = -1.0; // units, not jobs, queue here
-            jm.runSeconds = st->outcomes[i].wallSeconds;
-        }
-        for (std::size_t i = 0; i < nJobs; ++i) {
-            const RunOutcome &o = st->outcomes[i];
-            if (!o.fromCheckpoint)
-                continue;
-            const auto &set = st->sets.at(o.workload)->set;
-            if (o.samples > 0) {
-                for (const SampleCheckpoint &sc : set.samples) {
-                    if (sc.bytes.empty())
-                        continue;
-                    ++m.checkpointRestores;
-                    m.checkpointRestoreBytes += sc.bytes.size();
-                }
-            } else if (!set.samples.empty()) {
-                ++m.checkpointRestores;
-                m.checkpointRestoreBytes +=
-                    set.samples[0].bytes.size();
-            }
-        }
-    }
-    {
-        std::lock_guard<std::mutex> lk(st->m);
+        st->collator.addMetrics(m);
         if (st->waitCount > 0)
             m.queueWaitAvgSeconds =
                 st->waitSum / double(st->waitCount);
         m.queueWaitMaxSeconds = st->waitMax;
     }
+    const proto::ServerStats ss = snapshotStats();
+    m.unitRetries = ss.unitRetries;
+    m.workerRestarts = ss.workerRestarts;
+    m.hangKills = ss.hangKills;
+    m.deadlineFailures = ss.deadlineFailures;
+    m.cacheEvictions = ss.cacheEvictions;
+    m.cacheGcRemoved = ss.cacheGcRemoved;
+    m.cacheDiskBytes = ss.cacheDiskBytes;
     {
         std::lock_guard<std::mutex> lk(sm_);
-        m.unitRetries = unitRetries_;
-        m.workerRestarts = workerRestarts_;
-        m.hangKills = hangKills_;
-        m.deadlineFailures = deadlineFailures_;
         ++requestsServed_;
-        for (const auto &kv : workers_) {
-            ExecMetrics::WorkerLoad wl;
-            wl.pid = kv.first;
-            wl.units = kv.second.units;
-            wl.busySeconds = kv.second.busySeconds;
-            m.workerLoads.push_back(wl);
-        }
-        for (const auto &kv : clientStats_) {
-            ExecMetrics::ClientWait cw;
-            cw.clientId = kv.first;
-            cw.priority = kv.second.priority;
-            cw.units = kv.second.units;
-            cw.waitAvgSeconds =
-                kv.second.units
-                    ? kv.second.waitSum / double(kv.second.units)
-                    : 0.0;
-            cw.waitMaxSeconds = kv.second.waitMax;
-            m.clientWaits.push_back(cw);
-        }
-    }
-    {
-        const SnapshotCache::Stats cs = cache_.stats();
-        m.cacheEvictions = cs.evictions;
-        m.cacheGcRemoved = cs.gcRemoved;
-        m.cacheDiskBytes = cs.diskBytes;
+        for (const auto &[pid, w] : workers_)
+            m.workerLoads.push_back({pid, w.units, w.busySeconds});
+        for (const auto &[id, c] : clientStats_)
+            m.clientWaits.push_back(
+                {id, c.priority, c.units,
+                 c.units ? c.waitSum / double(c.units) : 0.0, c.waitMax});
     }
     {
         std::lock_guard<std::mutex> lk(qm_);
@@ -949,8 +784,8 @@ SweepServer::handleSubmit(proto::Framed &link,
 
     proto::RequestDone done;
     done.records = std::uint32_t(nJobs);
-    done.cacheHits = reqHits;
-    done.cacheMisses = reqMisses;
+    done.cacheHits = m.cacheHits;
+    done.cacheMisses = m.cacheMisses;
     done.metricsJson = m.toJson();
     link.send(proto::MsgType::RequestDone, done.encode());
     if (opt_.verbose)
@@ -958,8 +793,8 @@ SweepServer::handleSubmit(proto::Framed &link,
                      "sdv_sweep: served %s (%zu records, %.2fs, "
                      "cache %llu hit / %llu miss)\n",
                      req.plan.c_str(), nJobs, m.requestSeconds,
-                     static_cast<unsigned long long>(reqHits),
-                     static_cast<unsigned long long>(reqMisses));
+                     static_cast<unsigned long long>(m.cacheHits),
+                     static_cast<unsigned long long>(m.cacheMisses));
 }
 
 void

@@ -10,23 +10,18 @@
  *
  * Determinism contract: the served record stream is byte-identical to
  * what the in-process executor (runPlan) serializes for the same
- * request. The server builds the identical plan, derives the identical
- * per-job configurations/seeds/fault plans, shares the executor's
- * record serializer (resultRecordJson), and the workers mirror the
- * executor's per-unit simulation paths — so sharding across N workers
- * (or machines; the protocol is address-agnostic) changes wall-clock
- * only.
+ * request, because both paths call the same functions
+ * (src/sweep/unit.hh): jobForks() shapes every job, the workers run
+ * captureSnapshots() and runUnit(), a JobCollator folds the results,
+ * and resultRecordJson() serializes them. Sharding across N workers
+ * changes wall-clock only.
  *
  * Capture passes are deduplicated across requests by the process-wide
- * SnapshotCache: concurrent clients asking for the same grid share one
- * warmup (single-flight), and the resulting snapshot sets persist in
- * the cache directory across daemon restarts.
- *
- * Serve-mode deviations from the in-process executor (documented in
- * docs/sweep.md): ExecOptions host-side knobs are not part of a
- * request — `jobs` (the daemon owns its pool size), `jobTimeout` (no
- * watchdog; a wedged unit wedges its worker, not the daemon) and the
- * observability sinks (serve mode produces deterministic records).
+ * SnapshotCache (single-flight; persisted across daemon restarts).
+ * Host-side ExecOptions knobs are not part of a request: `jobs` (the
+ * daemon owns its pool size), `jobTimeout` (hangs are caught by
+ * heartbeats instead) and the observability sinks, which the client
+ * refuses to submit (docs/sweep.md).
  */
 
 #ifndef SDV_SWEEP_SERVER_HH
@@ -179,6 +174,9 @@ class SweepServer
      *  once in the completed/failed accounting. */
     void finishUnit(std::shared_ptr<PendingUnit> &u,
                     proto::UnitResult &&r);
+    /** Fail @p u to its continuation with @p why. */
+    void failUnit(std::shared_ptr<PendingUnit> &u, std::string why,
+                  proto::ErrKind kind = proto::ErrKind::Generic);
     /** A worker died holding @p u: retry it (chaos hook cleared) or,
      *  past the attempt cap, fail it to its continuation. */
     void requeueAfterCrash(const std::shared_ptr<PendingUnit> &u);

@@ -31,23 +31,10 @@
 
 #include "sweep/checkpoint.hh"
 #include "sweep/proto.hh"
-#include "sweep/sampling.hh"
+#include "sweep/unit.hh"
 
 namespace sdv {
 namespace sweep {
-
-/** One cached capture-pass result. For a sampled request the embedded
- *  SampleSet is exactly what captureSamples() returned; for the
- *  one-boundary checkpoint mode it is degenerate — samples[0].bytes
- *  holds the single warm image (empty when the warm-up found no
- *  boundary, i.e. captured == false). */
-struct SnapshotSet
-{
-    std::uint64_t programHash = 0; ///< identity of the captured program
-    bool sampled = false;          ///< sample set vs one-boundary image
-    bool captured = false;         ///< false: negative result (cached)
-    SampleSet set;
-};
 
 /** Serialize + atomically publish @p s at @p path. */
 bool saveSnapshotSet(const std::string &path, const SnapshotSet &s);

@@ -4,14 +4,11 @@
 #include <csignal>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <thread>
 
 #include <unistd.h>
 
 #include "common/log.hh"
-#include "sweep/checkpoint.hh"
-#include "sweep/executor.hh"
 #include "sweep/proto.hh"
 #include "sweep/snapshot_cache.hh"
 #include "workloads/workload.hh"
@@ -21,14 +18,6 @@ namespace sweep {
 
 namespace {
 
-double
-secondsSince(const std::chrono::steady_clock::time_point &t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 /** Per-worker memoization: requests of one grid reuse the built plan,
  *  the pre-decoded programs and the loaded snapshot sets across all
  *  the units this worker runs. */
@@ -36,7 +25,7 @@ struct WorkerCaches
 {
     std::map<std::string, SweepPlan> plans;
     std::map<std::string, Program> programs;
-    std::map<std::string, std::shared_ptr<const SnapshotSet>> sets;
+    std::map<std::string, SnapshotSet> sets;
 
     const SweepPlan &
     plan(const proto::SweepRequest &req)
@@ -60,12 +49,11 @@ struct WorkerCaches
                                 std::to_string(popt.scale) + "|" +
                                 footprintName(popt.footprint);
         auto it = programs.find(key);
-        if (it == programs.end()) {
-            Program prog =
-                buildWorkload(workload, popt.scale, popt.footprint);
-            prog.predecodeAll();
-            it = programs.emplace(key, std::move(prog)).first;
-        }
+        if (it == programs.end())
+            it = programs
+                     .emplace(key, loadProgram(workload, popt.scale,
+                                               popt.footprint))
+                     .first;
         return it->second;
     }
 
@@ -76,156 +64,58 @@ struct WorkerCaches
     {
         auto it = sets.find(path);
         if (it == sets.end()) {
-            auto s = std::make_shared<SnapshotSet>();
-            if (loadSnapshotSet(path, *s) !=
-                Checkpoint::LoadStatus::Ok)
+            SnapshotSet s;
+            if (loadSnapshotSet(path, s) != Checkpoint::LoadStatus::Ok)
                 return nullptr;
-            it = sets.emplace(path,
-                              std::shared_ptr<const SnapshotSet>(
-                                  std::move(s)))
-                     .first;
+            it = sets.emplace(path, std::move(s)).first;
         }
-        return it->second.get();
+        return &it->second;
     }
 };
 
-/** Capture unit: run the workload's capture pass under its
- *  deterministic warm-up configuration and publish the snapshot set
- *  atomically at the requested path. */
+/** Run one unit: a capture pass published atomically at the requested
+ *  path, or runUnit() against the memoized program and snapshots. */
 proto::UnitResult
-runCaptureUnit(const proto::UnitRequest &u, WorkerCaches &caches)
+runWorkerUnit(const proto::UnitRequest &u, WorkerCaches &caches)
 {
     proto::UnitResult res;
     res.id = u.id;
-
     const SweepPlan &plan = caches.plan(u.req);
-    const Program &prog = caches.program(u.workload, u.req.popt);
-    const CoreConfig cfg = warmConfig(plan, u.req.eopt, u.workload);
 
-    SnapshotSet s;
-    s.programHash = prog.identityHash();
-    if (u.req.eopt.sample.enabled()) {
-        SamplePlan sp = u.req.eopt.sample;
-        sp.warmupInsts = u.req.eopt.warmupInsts;
-        s.sampled = true;
-        s.set = captureSamples(cfg, prog, sp, u.req.eopt.maxCycles);
-        s.captured = s.set.usable();
-    } else {
-        s.sampled = false;
-        s.set.samples.resize(1);
-        Simulator sim(cfg, prog);
-        if (sim.warmup(u.req.eopt.warmupInsts, u.req.eopt.maxCycles)) {
-            s.captured = true;
-            s.set.samples[0].bytes = Checkpoint::capture(sim);
+    if (u.kind == proto::UnitKind::Capture) {
+        std::string note;
+        const SnapshotSet s =
+            captureSnapshots(plan, u.req.eopt, u.workload,
+                             caches.program(u.workload, u.req.popt), &note);
+        if (!note.empty())
+            warn(note);
+        if (!saveSnapshotSet(u.snapshotPath, s)) {
+            res.message = "could not publish snapshot set at " +
+                          u.snapshotPath;
+            return res;
         }
-        // else: captured == false, empty image — a cached negative,
-        // exactly the serial path's "run this workload cold" verdict.
-    }
-
-    if (!saveSnapshotSet(u.snapshotPath, s)) {
-        res.message = "could not publish snapshot set at " +
-                      u.snapshotPath;
+        res.ok = true;
         return res;
     }
-    res.ok = true;
-    res.captured = s.captured;
-    res.programHash = s.programHash;
-    return res;
-}
 
-/** Run unit: one job (full) or one (job, sample) fork, mirroring the
- *  corresponding in-process executor path statement for statement. */
-proto::UnitResult
-runRunUnit(const proto::UnitRequest &u, WorkerCaches &caches)
-{
-    proto::UnitResult res;
-    res.id = u.id;
-
-    const ExecOptions &opt = u.req.eopt;
-    const SweepPlan &plan = caches.plan(u.req);
     if (u.jobIndex >= plan.jobs.size()) {
         res.message = "job index out of range";
         return res;
     }
     const SweepJob &job = plan.jobs[u.jobIndex];
-    const Program &prog = caches.program(job.workload, u.req.popt);
-
-    CoreConfig cfg = job.cfg;
-    applyExecOverlay(cfg, opt);
-
-    if (u.sample < 0 && !opt.sample.enabled()) {
-        // Exact full run (runPlan's runJob): fault plan applied, one
-        // optional checkpoint restore, quiesce interval honored on
-        // non-checkpointed runs.
-        cfg.engine.fault = jobFaultPlan(opt.fault, job);
-        std::optional<Simulator> sim;
-        sim.emplace(cfg, prog);
-        if (opt.checkpoint && !u.snapshotPath.empty()) {
-            const SnapshotSet *s = caches.snapshot(u.snapshotPath);
-            if (!s) {
-                res.message = "could not load snapshot set " +
-                              u.snapshotPath;
-                return res;
-            }
-            const std::vector<std::uint8_t> &bytes =
-                s->set.samples.at(0).bytes;
-            std::string err;
-            if (!bytes.empty() &&
-                Checkpoint::validate(*sim, bytes) &&
-                Checkpoint::restore(*sim, bytes, &err)) {
-                res.fromCheckpoint = true;
-            } else if (!bytes.empty()) {
-                warn("running ", job.workload, "/", job.configKey,
-                     " cold", err.empty() ? "" : ": ", err);
-                sim.emplace(cfg, prog);
-            }
-        }
-        res.res = sim->run(opt.maxCycles, opt.verify,
-                           opt.checkpoint ? 0 : opt.quiesceInterval);
-        res.commitHash = sim->core().commitPcHash();
-        res.ok = true;
-        return res;
-    }
-
-    if (u.sample < 0) {
-        // Sampled-mode full-run fallback (runPlanSampled's runUnit,
-        // sample < 0 branch): no fault plan, verify off.
-        Simulator sim(cfg, prog);
-        res.res = sim.run(opt.maxCycles, false, opt.quiesceInterval);
-        res.commitHash = sim.core().commitPcHash();
-        res.ok = true;
-        return res;
-    }
-
-    // Per-sample fork: restore (or fork from reset for the cold
-    // region) and measure. Failed restores and aborted measurements
-    // contribute zeroed results — exactly the serial path's
-    // deterministic drop-out-of-the-weighting semantics.
-    const SnapshotSet *s = caches.snapshot(u.snapshotPath);
-    if (!s) {
+    // The server names a snapshot set only for jobs that fork from it.
+    const SnapshotSet *s = nullptr;
+    if (!u.snapshotPath.empty() && !(s = caches.snapshot(u.snapshotPath))) {
         res.message = "could not load snapshot set " + u.snapshotPath;
         return res;
     }
-    if (std::size_t(u.sample) >= s->set.samples.size()) {
+    if (u.sample >= 0 &&
+        (!s || std::size_t(u.sample) >= s->set.samples.size())) {
         res.message = "sample index out of range";
         return res;
     }
-    const SampleCheckpoint &sc = s->set.samples[std::size_t(u.sample)];
-    Simulator sim(cfg, prog);
-    std::string err;
-    if (!sc.bytes.empty() && !Checkpoint::restore(sim, sc.bytes, &err)) {
-        warn("sample restore failed for ", job.workload, "/",
-             job.configKey, ": ", err);
-        res.ok = true; // zero contribution, like the serial path
-        return res;
-    }
-    const SimResult r = sim.runInsts(sc.measureInsts, opt.maxCycles);
-    if (r.timedOut) {
-        res.ok = true; // zero contribution
-        return res;
-    }
-    res.res = r;
-    res.commitHash = sim.core().commitPcHash();
+    res.run = runUnit({job, caches.program(job.workload, u.req.popt),
+                       u.req.eopt, s, u.sample});
     res.ok = true;
     return res;
 }
@@ -300,9 +190,7 @@ workerMain(const std::string &socketPath)
         beatUnit.store(u.id);
         beatActive.store(true);
         const auto t0 = std::chrono::steady_clock::now();
-        proto::UnitResult res = u.kind == proto::UnitKind::Capture
-                                    ? runCaptureUnit(u, caches)
-                                    : runRunUnit(u, caches);
+        proto::UnitResult res = runWorkerUnit(u, caches);
         res.wallSeconds = secondsSince(t0);
 
         if (u.chaosMode == proto::ChaosMode::Delay) {

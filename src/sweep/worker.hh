@@ -2,16 +2,11 @@
  * @file
  * Sweep work-server worker process (`sdv_sweep --worker`): connects to
  * the daemon's socket, announces itself, and executes UnitRequest
- * frames until the connection closes — one self-contained
- * (config × sample) measurement or one capture pass per unit, each
- * answered with a UnitResult.
- *
- * Execution mirrors the in-process executor path for path (cold full
- * runs, checkpoint restore-or-cold, per-sample forks with
- * zero-contribution semantics for failed restores), which is what
- * makes a served sweep byte-identical to `runPlan` on one machine.
- * Plans, programs and loaded snapshot sets are memoized per worker, so
- * the per-unit cost is the simulation itself.
+ * frames until the connection closes. A unit is decoded, its plan,
+ * program and snapshot set are looked up (memoized per worker), and it
+ * runs through captureSnapshots() or runUnit() (src/sweep/unit.hh) —
+ * the functions the in-process executor calls, so served and serial
+ * sweeps cannot drift apart.
  */
 
 #ifndef SDV_SWEEP_WORKER_HH

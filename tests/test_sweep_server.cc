@@ -5,7 +5,8 @@
  * clients), the snapshot cache single-flights concurrent captures,
  * crashed workers are respawned and their units retried without
  * perturbing results, malformed requests are rejected without taking
- * the daemon down, and the satellite pieces (atomic checkpoint save,
+ * the daemon down, requests for observability sinks are refused by the
+ * client, and the satellite pieces (atomic checkpoint save,
  * missing-vs-corrupt load verdicts, --jobs auto-detection).
  *
  * The daemon runs in-process (SweepServer on a background thread); the
@@ -116,26 +117,97 @@ metricsField(const std::string &json, const std::string &key)
     return std::atoll(json.c_str() + pos + needle.size());
 }
 
-TEST(SweepServer, ServedStreamMatchesSerialByteForByte)
+/** Submit @p req and expect the serial stream byte for byte, plus the
+ *  serial capture counts (every request here misses the cache). */
+void
+expectServedMatchesSerial(const ServerFixture &srv,
+                          const sweep::proto::SweepRequest &req)
 {
-    ServerFixture srv(2);
-    const sweep::proto::SweepRequest req = sampledRequest();
+    const sweep::SweepPlan plan = sweep::buildPlan(req.plan, req.popt);
+    sweep::ExecOptions eopt = req.eopt;
+    eopt.jobs = 1;
+    sweep::ExecMetrics serial;
+    const std::string expect =
+        sweep::resultsJson(sweep::runPlan(plan, eopt, &serial));
 
     sweep::ClientResult res;
     std::string err;
     ASSERT_TRUE(sweep::submitSweep(srv.socketPath(), req, res, &err))
         << err;
-    EXPECT_EQ(serialResults(req), res.resultsArray());
+    EXPECT_EQ(expect, res.resultsArray());
+    EXPECT_EQ(metricsField(res.metricsJson, "checkpoint_captures"),
+              (long long)serial.checkpointCaptures)
+        << res.metricsJson;
+    EXPECT_EQ(metricsField(res.metricsJson, "checkpoint_capture_bytes"),
+              (long long)serial.checkpointCaptureBytes)
+        << res.metricsJson;
+}
+
+TEST(SweepServer, ServedStreamMatchesSerialByteForByte)
+{
+    ServerFixture srv(2);
+    const sweep::proto::SweepRequest req = sampledRequest();
+    expectServedMatchesSerial(srv, req);
 
     // Checkpoint mode takes the one-boundary cache path.
     sweep::proto::SweepRequest ck = req;
     ck.eopt.sample = sweep::SamplePlan{};
     ck.eopt.checkpoint = true;
     ck.eopt.warmupInsts = 5'000;
-    sweep::ClientResult res2;
-    ASSERT_TRUE(sweep::submitSweep(srv.socketPath(), ck, res2, &err))
-        << err;
-    EXPECT_EQ(serialResults(ck), res2.resultsArray());
+    expectServedMatchesSerial(srv, ck);
+
+    // Mixed fallbacks: go is too short to sample, and the conf1/conf3
+    // columns' TL geometry cannot restore the snapshots.
+    sweep::proto::SweepRequest mixed;
+    mixed.plan = "ablation";
+    mixed.popt.quick = true;
+    mixed.eopt.sample.samples = 3;
+    mixed.eopt.sample.measureInsts = 5'000;
+    mixed.eopt.warmupInsts = 100'000;
+    expectServedMatchesSerial(srv, mixed);
+
+    // Full runs with per-job fault injection.
+    sweep::proto::SweepRequest fault;
+    fault.plan = "fig13";
+    fault.popt.quick = true;
+    fault.eopt.fault.enabled = true;
+    fault.eopt.fault.elemFlipPpm = 2'000;
+    expectServedMatchesSerial(srv, fault);
+
+    // Full runs with periodic quiesces and eager chaining.
+    sweep::proto::SweepRequest quiesce;
+    quiesce.plan = "fig13";
+    quiesce.popt.quick = true;
+    quiesce.eopt.quiesceInterval = 10'000;
+    quiesce.eopt.eagerChain = true;
+    expectServedMatchesSerial(srv, quiesce);
+}
+
+TEST(SweepServer, ObservabilityRequestsAreRejectedClientSide)
+{
+    // The wire carries no observability sinks, so a served request
+    // asking for them would silently come back without them.
+    ServerFixture srv(1);
+    sweep::proto::SweepRequest req = sampledRequest();
+    req.eopt.sample = sweep::SamplePlan{};
+    req.eopt.telemetryInterval = 50'000;
+    sweep::ClientResult res;
+    std::string err;
+    EXPECT_EQ(sweep::submitSweepOnce(srv.socketPath(), req, 1, res, &err),
+              sweep::SubmitStatus::Rejected);
+    EXPECT_NE(err.find("--telemetry"), std::string::npos) << err;
+
+    req.eopt.telemetryInterval = 0;
+    req.eopt.traceEvents = true;
+    EXPECT_EQ(sweep::submitSweepOnce(srv.socketPath(), req, 1, res, &err),
+              sweep::SubmitStatus::Rejected);
+    EXPECT_NE(err.find("--trace-events"), std::string::npos) << err;
+
+    // Nothing reached the daemon.
+    sweep::proto::ServerStats stats;
+    ASSERT_TRUE(sweep::queryStats(srv.socketPath(), stats, &err)) << err;
+    EXPECT_EQ(stats.unitsEnqueued, 0u);
+    EXPECT_EQ(stats.requestsFailed, 0u);
 }
 
 TEST(SweepServer, ConcurrentClientsAreDeterministicAndShareCaptures)
