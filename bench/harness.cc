@@ -449,22 +449,16 @@ runGrid(const Options &opt, const std::string &plan_name)
     eopt.traceLast = opt.traceLast;
     eopt.telemetryInterval = opt.telemetryInterval;
 
-    const auto t0 = std::chrono::steady_clock::now();
     std::vector<sweep::RunOutcome> outcomes =
         sweep::runPlan(plan, eopt);
-    const double wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
 
-    // Record for writeJson(). Per-run wall times overlap under --jobs,
-    // so charge each run its share of the grid's wall clock: the sum
-    // (what compare_bench.py warns on) stays the true elapsed time.
+    // Record for writeJson(), each run with its own job's host time as
+    // the executor measured it. Under --jobs > 1 the jobs overlap, so
+    // the records' sum is busy time, not the grid's elapsed wall.
     for (const sweep::RunOutcome &o : outcomes) {
         jsonRecords.push_back(
             {o.workload, o.configKey, o.res.cycles, o.res.insts,
-             o.res.ipc,
-             outcomes.empty() ? 0.0 : wall / double(outcomes.size()),
+             o.res.ipc, o.wallSeconds,
              o.res.engine.validationValueMismatches, o.telemetryJson});
         if (o.trace)
             traceRecorders.emplace_back(

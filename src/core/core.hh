@@ -22,6 +22,7 @@
 #include "arch/executor.hh"
 #include "branch/btb.hh"
 #include "common/serialize.hh"
+#include "common/stat_list.hh"
 #include "branch/gshare.hh"
 #include "branch/ras.hh"
 #include "common/ring_pool.hh"
@@ -86,57 +87,64 @@ struct CoreConfig
     EngineConfig engine;       ///< dynamic vectorization engine
 };
 
+/**
+ * CoreStats field list (see common/stat_list.hh): F(type, name) per
+ * counter, A(type, name, n) per counter array.
+ */
+#define SDV_CORE_STATS(F, A)                                                \
+    F(Cycle, cycles)                                                        \
+    F(std::uint64_t, committedInsts)                                        \
+    F(std::uint64_t, committedLoads)                                        \
+    F(std::uint64_t, committedStores)                                       \
+    F(std::uint64_t, committedBranches)                                     \
+    F(std::uint64_t, committedValidations)       /* Figure 14 */            \
+    F(std::uint64_t, committedLoadValidations)                              \
+    F(std::uint64_t, scalarLoadAccesses) /* demand loads through ports */   \
+    F(std::uint64_t, loadForwards)                                          \
+    F(std::uint64_t, branchMispredicts)                                     \
+    F(std::uint64_t, fetchStallCycles)  /* cycles fetch sat stalled */      \
+    /* Of the fetch-stall cycles, those where the stalling branch was       \
+     * dep-blocked on an in-flight *validation* — fetch serialized          \
+     * behind vector element computation (see docs/performance.md,         \
+     * "Steady-state behavior"). */                                         \
+    F(std::uint64_t, fetchStallValWaitCycles)                               \
+    F(std::uint64_t, decodeBlockCycles) /* Figure 7 stalls */               \
+    F(std::uint64_t, robFullStalls)                                         \
+    F(std::uint64_t, lsqFullStalls)                                         \
+    F(std::uint64_t, storeConflictSquashes)                                 \
+    F(std::uint64_t, squashedInsts)                                         \
+                                                                            \
+    /* Figure 10: reuse among the instructions after a mispredict          \
+     * (CoreConfig::fig10WindowInsts of them, 100 in the paper). */         \
+    F(std::uint64_t, postMispredictWindowInsts)                             \
+    F(std::uint64_t, postMispredictReused)                                  \
+                                                                            \
+    /* Adversarial robustness (PR 6): the committed-path view of the        \
+     * fault-injection ledger (EngineStats has the decode/validation        \
+     * view including squashed work) and the transient-exposure probe      \
+     * of the quiesce boundary (timing-channel experiments). All stay       \
+     * zero in default runs. */                                             \
+    F(std::uint64_t, specFaultsDetected) /* injected faults flagged */      \
+    F(std::uint64_t, specChainDemotions) /* chains demoted to scalar */     \
+    F(std::uint64_t, specChainReenables) /* demoted chains re-enabled */    \
+    F(std::uint64_t, quiesceEvents)       /* mid-run vector quiesces */     \
+    F(std::uint64_t, quiesceLiveVregs)    /* live vregs at those events */  \
+    /* Speculative (computed but not yet validated) elements alive          \
+     * across a quiesce boundary: the state a timing-channel attacker       \
+     * probes, dropped by the boundary. */                                  \
+    F(std::uint64_t, quiesceTransientElems)                                 \
+                                                                            \
+    /* Event-skipping clock meta-statistics: how the cycles were            \
+     * simulated, never what they contained. These are the only             \
+     * CoreStats fields allowed to differ between an event-skipping run     \
+     * and a ticking one. */                                                \
+    F(std::uint64_t, eventSkipJumps)    /* quiescent jumps taken */         \
+    F(std::uint64_t, eventSkippedCycles) /* cycles jumped over */
+
 /** Statistics exported by the core. */
 struct CoreStats
 {
-    Cycle cycles = 0;
-    std::uint64_t committedInsts = 0;
-    std::uint64_t committedLoads = 0;
-    std::uint64_t committedStores = 0;
-    std::uint64_t committedBranches = 0;
-    std::uint64_t committedValidations = 0;       ///< Figure 14
-    std::uint64_t committedLoadValidations = 0;
-    std::uint64_t scalarLoadAccesses = 0; ///< demand loads through ports
-    std::uint64_t loadForwards = 0;
-    std::uint64_t branchMispredicts = 0;
-    std::uint64_t fetchStallCycles = 0;  ///< cycles fetch sat stalled
-    /** Of the fetch-stall cycles, those where the stalling branch was
-     *  dep-blocked on an in-flight *validation* — fetch serialized
-     *  behind vector element computation (see docs/performance.md,
-     *  "Steady-state behavior"). */
-    std::uint64_t fetchStallValWaitCycles = 0;
-    std::uint64_t decodeBlockCycles = 0; ///< Figure 7 stalls
-    std::uint64_t robFullStalls = 0;
-    std::uint64_t lsqFullStalls = 0;
-    std::uint64_t storeConflictSquashes = 0;
-    std::uint64_t squashedInsts = 0;
-
-    // Figure 10: reuse among the instructions after a mispredict
-    // (CoreConfig::fig10WindowInsts of them, 100 in the paper).
-    std::uint64_t postMispredictWindowInsts = 0;
-    std::uint64_t postMispredictReused = 0;
-
-    // Adversarial robustness (PR 6): the committed-path view of the
-    // fault-injection ledger (EngineStats has the decode/validation
-    // view including squashed work) and the transient-exposure probe
-    // of the quiesce boundary (timing-channel experiments). All stay
-    // zero in default runs.
-    std::uint64_t specFaultsDetected = 0; ///< injected faults flagged
-    std::uint64_t specChainDemotions = 0; ///< chains demoted to scalar
-    std::uint64_t specChainReenables = 0; ///< demoted chains re-enabled
-    std::uint64_t quiesceEvents = 0;       ///< mid-run vector quiesces
-    std::uint64_t quiesceLiveVregs = 0;    ///< live vregs at those events
-    /** Speculative (computed but not yet validated) elements alive
-     *  across a quiesce boundary: the state a timing-channel attacker
-     *  probes, dropped by the boundary. */
-    std::uint64_t quiesceTransientElems = 0;
-
-    // Event-skipping clock meta-statistics: how the cycles were
-    // simulated, never what they contained. These are the only
-    // CoreStats fields allowed to differ between an event-skipping run
-    // and a ticking one.
-    std::uint64_t eventSkipJumps = 0;   ///< quiescent jumps taken
-    std::uint64_t eventSkippedCycles = 0; ///< cycles jumped over
+    SDV_CORE_STATS(SDV_STAT_MEMBER, SDV_STAT_MEMBER_ARRAY)
 
     /** @return instructions per cycle. */
     double
@@ -145,6 +153,7 @@ struct CoreStats
         return cycles == 0 ? 0.0 : double(committedInsts) / double(cycles);
     }
 };
+SDV_STATS_BLOCK(CoreStats, SDV_CORE_STATS);
 
 /** The core. Implements VecExecContext so the vector machinery reaches
  *  speculative load values and completion state through one direct

@@ -7,18 +7,6 @@
 
 namespace sdv {
 
-namespace {
-
-/** Pack a register incarnation into one trace-event argument. */
-std::uint64_t
-packRef(VecRegRef ref)
-{
-    return std::uint64_t(ref.reg) |
-           (std::uint64_t(ref.gen & 0xffffu) << 16);
-}
-
-} // namespace
-
 SdvEngine::SdvEngine(const EngineConfig &cfg)
     : cfg_(cfg), tl_(cfg.tlSets, cfg.tlWays, cfg.tlConfidence),
       vrmt_(cfg.vrmtSets, cfg.vrmtWays), vrf_(cfg.numVregs, cfg.vlen),
@@ -180,14 +168,14 @@ SdvEngine::decodeLoad(DynInst &d, RenameTable &rt)
                 ++stats_.faultVrmtDetects;
                 SDV_OBS_EVENT(recorder_,
                               ::sdv::obs::EventKind::FaultDetect, pc,
-                              packRef(ve->vreg));
+                              obs::packVreg(ve->vreg));
                 d.fiDetected = true;
                 if (noteChainFault(pc))
                     d.fiDemoted = true;
             } else {
                 ++stats_.loadAddrMisspecs;
                 SDV_OBS_EVENT(recorder_, ::sdv::obs::EventKind::ValMiss,
-                              pc, packRef(ve->vreg), /*addr_misspec=*/2);
+                              pc, obs::packVreg(ve->vreg), /*addr_misspec=*/2);
             }
             killEntry(*ve);
             tl_.resetConfidence(pc);
@@ -259,7 +247,7 @@ SdvEngine::trySpawnLoad(DynInst &d, RenameTable &rt, std::int64_t stride)
 
     ++stats_.loadSpawns;
     SDV_OBS_EVENT(recorder_, obs::EventKind::ChainSpawn, d.pc(),
-                  packRef(v), /*arith=*/0);
+                  obs::packVreg(v), /*arith=*/0);
     return true;
 }
 
@@ -313,7 +301,7 @@ SdvEngine::tryChainLoad(DynInst &d, RenameTable &rt)
     if (!v2.valid())
         return; // the offset==count decode path retries later
     SDV_OBS_EVENT(recorder_, obs::EventKind::ChainExtend, d.pc(),
-                  packRef(v2), /*eager=*/0);
+                  obs::packVreg(v2), /*eager=*/0);
 
     saveVrmtPrev(d);
     VrmtEntry e = *ve;
@@ -343,7 +331,7 @@ SdvEngine::eagerSpawnNext(DynInst &d, VrmtEntry &ve)
     if (!v2.valid())
         return; // last-element validation falls back to tryChainLoad
     SDV_OBS_EVENT(recorder_, obs::EventKind::ChainExtend, d.pc(),
-                  packRef(v2), /*eager=*/1);
+                  obs::packVreg(v2), /*eager=*/1);
 
     saveVrmtPrev(d);
     ve.hasNext = true;
@@ -519,7 +507,7 @@ SdvEngine::decodeArith(DynInst &d, RenameTable &rt,
         if (ve->offset < vrf_.elemCount(ve->vreg)) {
             ++stats_.arithOperandMisspecs;
             SDV_OBS_EVENT(recorder_, obs::EventKind::ValMiss, pc,
-                          packRef(ve->vreg), /*operand_misspec=*/3);
+                          obs::packVreg(ve->vreg), /*operand_misspec=*/3);
         }
         killEntry(*ve);
     } else if (ve && ve->isLoad && vrf_.isLive(ve->vreg)) {
@@ -627,7 +615,7 @@ SdvEngine::trySpawnArith(DynInst &d, RenameTable &rt, const SrcSpec &s1,
         (s1.isVector() && s2.isScalar()))
         ++stats_.mixedScalarSpawns;
     SDV_OBS_EVENT(recorder_, obs::EventKind::ChainSpawn, d.pc(),
-                  packRef(v), /*arith=*/1);
+                  obs::packVreg(v), /*arith=*/1);
     return true;
 }
 
@@ -677,7 +665,7 @@ SdvEngine::tryChainArith(DynInst &d, RenameTable &rt, const SrcSpec &s1,
 
     ++stats_.arithChainSpawns;
     SDV_OBS_EVENT(recorder_, obs::EventKind::ChainExtend, d.pc(),
-                  packRef(v2), /*eager=*/0);
+                  obs::packVreg(v2), /*eager=*/0);
 }
 
 // --- shared decode helpers ------------------------------------------------
@@ -689,7 +677,7 @@ SdvEngine::makeValidation(DynInst &d, RenameTable &rt, VrmtEntry &ve)
     d.valVreg = ve.vreg;
     d.valElem = ve.offset;
     SDV_OBS_EVENT(recorder_, obs::EventKind::ValIssue, d.pc(),
-                  packRef(ve.vreg), ve.offset);
+                  obs::packVreg(ve.vreg), ve.offset);
     vrf_.setUsed(ve.vreg, ve.offset, true);
     ++ve.offset;
     d.bumpedVrmtOffset = true;
@@ -720,7 +708,7 @@ SdvEngine::corruptInstall(VrmtEntry &ie)
         ie.baseAddr ^= f.mask;
     ie.faultInjected = true;
     SDV_OBS_EVENT(recorder_, obs::EventKind::FaultInject, ie.pc,
-                  packRef(ie.vreg));
+                  obs::packVreg(ie.vreg));
 }
 
 bool
@@ -762,7 +750,7 @@ void
 SdvEngine::killEntry(VrmtEntry &ve)
 {
     SDV_OBS_EVENT(recorder_, obs::EventKind::ChainKill, ve.pc,
-                  packRef(ve.vreg));
+                  obs::packVreg(ve.vreg));
     if (vrf_.isLive(ve.vreg)) {
         vrf_.kill(ve.vreg);
         datapath_.abortByDest(ve.vreg);
@@ -797,7 +785,7 @@ SdvEngine::fallbackValidation(DynInst &d)
     d.valElemFellBack = true;
     ++stats_.lateValidationFallbacks;
     SDV_OBS_EVENT(recorder_, obs::EventKind::ValMiss, d.pc(),
-                  packRef(d.valVreg), /*fallback=*/1);
+                  obs::packVreg(d.valVreg), /*fallback=*/1);
 }
 
 ValCommitResult
@@ -825,7 +813,7 @@ SdvEngine::onValidationCommit(const DynInst &d)
                     else
                         ++stats_.faultTaintDetects;
                     SDV_OBS_EVENT(recorder_, obs::EventKind::FaultDetect,
-                                  d.pc(), packRef(d.valVreg));
+                                  d.pc(), obs::packVreg(d.valVreg));
                     res.faultDetected = true;
                     res.chainDemoted = noteChainFault(d.pc());
                     // Repair the payload with the architectural value
@@ -839,16 +827,16 @@ SdvEngine::onValidationCommit(const DynInst &d)
                     vrf_.clearFaultMarks(d.valVreg, d.valElem);
                     noteChainClean(d.pc());
                     SDV_OBS_EVENT(recorder_, obs::EventKind::ValHit,
-                                  d.pc(), packRef(d.valVreg), d.valElem);
+                                  d.pc(), obs::packVreg(d.valVreg), d.valElem);
                 }
             } else if (mismatch) {
                 ++stats_.validationValueMismatches;
                 SDV_OBS_EVENT(recorder_, obs::EventKind::ValMiss, d.pc(),
-                              packRef(d.valVreg), /*mismatch=*/0);
+                              obs::packVreg(d.valVreg), /*mismatch=*/0);
             } else {
                 noteChainClean(d.pc());
                 SDV_OBS_EVENT(recorder_, obs::EventKind::ValHit, d.pc(),
-                              packRef(d.valVreg), d.valElem);
+                              obs::packVreg(d.valVreg), d.valElem);
             }
         }
         vrf_.setValid(d.valVreg, d.valElem);

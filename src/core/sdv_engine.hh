@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "common/stat_list.hh"
 #include "core/dyn_inst.hh"
 #include "core/rename.hh"
 #include "sim/fault_injection.hh"
@@ -72,38 +73,43 @@ enum class ValStatus : std::uint8_t
     Dead,    ///< register killed/freed; fall back to scalar execution
 };
 
+/** EngineStats field list (see common/stat_list.hh). */
+#define SDV_ENGINE_STATS(F, A)                                              \
+    F(std::uint64_t, loadSpawns)                                            \
+    F(std::uint64_t, loadChainSpawns)                                       \
+    F(std::uint64_t, arithSpawns)                                           \
+    F(std::uint64_t, arithChainSpawns)                                      \
+    F(std::uint64_t, mixedScalarSpawns) /* one scalar + one vector op */    \
+    F(std::uint64_t, loadValidations)   /* decode conversions */            \
+    F(std::uint64_t, arithValidations)                                      \
+    F(std::uint64_t, loadAddrMisspecs)                                      \
+    F(std::uint64_t, arithOperandMisspecs)                                  \
+    F(std::uint64_t, storesChecked)                                         \
+    F(std::uint64_t, storeRangeConflicts) /* Section 3.6 squashes */        \
+    F(std::uint64_t, decodeBlockEvents)   /* Figure 7 stall cycles */       \
+    F(std::uint64_t, lateValidationFallbacks)                               \
+    F(std::uint64_t, validationValueMismatches) /* self-check (== 0) */     \
+                                                                            \
+    /* --- fault injection (PR 6). The detect/benign counters examine       \
+     * only *marked* elements, so validationValueMismatches above stays     \
+     * a genuine-bug detector (and stays zero) even under injection. */     \
+    F(std::uint64_t, faultElemFlips)    /* element bit flips applied */     \
+    F(std::uint64_t, faultVrmtFlips)    /* VRMT corruptions applied */      \
+    F(std::uint64_t, faultValidationDetects) /* injected-mark mismatch */   \
+    F(std::uint64_t, faultTaintDetects)      /* taint-mark mismatch */      \
+    F(std::uint64_t, faultValidationBenign)  /* marked but matched */       \
+    F(std::uint64_t, faultVrmtDetects) /* address check caught entry */     \
+    F(std::uint64_t, faultChainDemotions) /* chains demoted to scalar */    \
+    F(std::uint64_t, faultChainReenables) /* chains re-enabled */           \
+    F(std::uint64_t, faultTlFlips)    /* TL entry corruptions applied */    \
+    F(std::uint64_t, faultGmrbbFlips) /* shadow-GMRBB tag corruptions */
+
 /** Engine statistics (feed Figures 9, 13, 14, 15 and prose claims). */
 struct EngineStats
 {
-    std::uint64_t loadSpawns = 0;
-    std::uint64_t loadChainSpawns = 0;
-    std::uint64_t arithSpawns = 0;
-    std::uint64_t arithChainSpawns = 0;
-    std::uint64_t mixedScalarSpawns = 0;  ///< one scalar + one vector op
-    std::uint64_t loadValidations = 0;    ///< decode conversions
-    std::uint64_t arithValidations = 0;
-    std::uint64_t loadAddrMisspecs = 0;
-    std::uint64_t arithOperandMisspecs = 0;
-    std::uint64_t storesChecked = 0;
-    std::uint64_t storeRangeConflicts = 0; ///< Section 3.6 squashes
-    std::uint64_t decodeBlockEvents = 0;   ///< Figure 7 stall cycles
-    std::uint64_t lateValidationFallbacks = 0;
-    std::uint64_t validationValueMismatches = 0; ///< self-check (== 0)
-
-    // --- fault injection (PR 6). The detect/benign counters examine
-    // only *marked* elements, so validationValueMismatches above stays
-    // a genuine-bug detector (and stays zero) even under injection. --
-    std::uint64_t faultElemFlips = 0;     ///< element bit flips applied
-    std::uint64_t faultVrmtFlips = 0;     ///< VRMT corruptions applied
-    std::uint64_t faultValidationDetects = 0; ///< injected-mark mismatch
-    std::uint64_t faultTaintDetects = 0;      ///< taint-mark mismatch
-    std::uint64_t faultValidationBenign = 0;  ///< marked but matched
-    std::uint64_t faultVrmtDetects = 0;   ///< address check caught entry
-    std::uint64_t faultChainDemotions = 0; ///< chains demoted to scalar
-    std::uint64_t faultChainReenables = 0; ///< chains re-enabled
-    std::uint64_t faultTlFlips = 0;    ///< TL entry corruptions applied
-    std::uint64_t faultGmrbbFlips = 0; ///< shadow-GMRBB tag corruptions
+    SDV_ENGINE_STATS(SDV_STAT_MEMBER, SDV_STAT_MEMBER_ARRAY)
 };
+SDV_STATS_BLOCK(EngineStats, SDV_ENGINE_STATS);
 
 /** What a validation commit reported back to the core (fault ledger). */
 struct ValCommitResult

@@ -269,8 +269,13 @@ ProgramBuilder::finish()
     for (const Fixup &f : fixups_) {
         const std::int64_t slot = labelSlot_[size_t(f.label)];
         sdv_assert(slot >= 0, "unbound label used by instruction ", f.slot);
-        Instruction inst = program_.instAt(program_.codeBase() +
-                                           f.slot * instBytes);
+        // Decode the fixup slot from its encoded word: going through
+        // instAt() would compile the whole trace for every program built.
+        Instruction inst;
+        const bool ok = Instruction::decode(
+            program_.encodedAt(program_.codeBase() + f.slot * instBytes),
+            inst);
+        sdv_assert(ok, "undecodable instruction in fixup slot ", f.slot);
         inst.imm = branchOffset(f.slot, size_t(slot));
         program_.patch(f.slot, inst);
     }

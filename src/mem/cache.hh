@@ -14,18 +14,23 @@
 #include <vector>
 
 #include "common/serialize.hh"
+#include "common/stat_list.hh"
 #include "common/types.hh"
 
 namespace sdv {
 
+/** CacheStats field list (see common/stat_list.hh). */
+#define SDV_CACHE_STATS(F, A)                                               \
+    F(std::uint64_t, readAccesses)                                          \
+    F(std::uint64_t, readMisses)                                            \
+    F(std::uint64_t, writeAccesses)                                         \
+    F(std::uint64_t, writeMisses)                                           \
+    F(std::uint64_t, writebacks)
+
 /** Statistics kept by each cache instance. */
 struct CacheStats
 {
-    std::uint64_t readAccesses = 0;
-    std::uint64_t readMisses = 0;
-    std::uint64_t writeAccesses = 0;
-    std::uint64_t writeMisses = 0;
-    std::uint64_t writebacks = 0;
+    SDV_CACHE_STATS(SDV_STAT_MEMBER, SDV_STAT_MEMBER_ARRAY)
 
     /** @return total accesses. */
     std::uint64_t
@@ -45,6 +50,7 @@ struct CacheStats
                                : double(misses()) / double(accesses());
     }
 };
+SDV_STATS_BLOCK(CacheStats, SDV_CACHE_STATS);
 
 /** Result of one cache access. */
 struct CacheAccessResult

@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/stat_list.hh"
 #include "common/types.hh"
 
 namespace sdv {
@@ -22,14 +23,18 @@ namespace sdv {
  *  useful-word accounting. 0 means "none". */
 using ElemLoadId = std::uint64_t;
 
+/** PortStats field list (see common/stat_list.hh). */
+#define SDV_PORT_STATS(F, A)                                                \
+    F(std::uint64_t, busyPortCycles) /* one per claimed port per cycle */   \
+    F(std::uint64_t, cycles)         /* cycles observed */                  \
+    F(std::uint64_t, readAccesses)   /* load line/word accesses */          \
+    F(std::uint64_t, writeAccesses)  /* store accesses */                   \
+    F(std::uint64_t, wordsServed)    /* total load words served */
+
 /** Aggregate port / wide-bus statistics. */
 struct PortStats
 {
-    std::uint64_t busyPortCycles = 0;  ///< one per claimed port per cycle
-    std::uint64_t cycles = 0;          ///< cycles observed
-    std::uint64_t readAccesses = 0;    ///< load line/word accesses
-    std::uint64_t writeAccesses = 0;   ///< store accesses
-    std::uint64_t wordsServed = 0;     ///< total load words served
+    SDV_PORT_STATS(SDV_STAT_MEMBER, SDV_STAT_MEMBER_ARRAY)
 
     /** @return port occupancy in [0,1] given @p num_ports. */
     double
@@ -39,12 +44,17 @@ struct PortStats
         return cap == 0.0 ? 0.0 : double(busyPortCycles) / cap;
     }
 };
+SDV_STATS_BLOCK(PortStats, SDV_PORT_STATS);
+
+/** WideBusBreakdown field list (see common/stat_list.hh). */
+#define SDV_WIDE_BUS_STATS(F, A)                                            \
+    A(std::uint64_t, usefulWords, 5) /* index = words 0..4 */               \
+    F(std::uint64_t, totalReads)
 
 /** Figure 13 output: read accesses bucketed by useful word count. */
 struct WideBusBreakdown
 {
-    std::uint64_t usefulWords[5] = {0, 0, 0, 0, 0}; ///< index = words 0..4
-    std::uint64_t totalReads = 0;
+    SDV_WIDE_BUS_STATS(SDV_STAT_MEMBER, SDV_STAT_MEMBER_ARRAY)
 
     /** @return fraction of read accesses with @p n useful words. */
     double
@@ -59,6 +69,7 @@ struct WideBusBreakdown
      *  word at all (the paper's "Unused" series). */
     double unusedFraction() const { return fraction(0); }
 };
+SDV_STATS_BLOCK(WideBusBreakdown, SDV_WIDE_BUS_STATS);
 
 /**
  * Per-cycle arbitration over the configured number of L1D ports, scalar

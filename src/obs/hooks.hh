@@ -10,6 +10,27 @@
 #ifndef SDV_OBS_HOOKS_HH
 #define SDV_OBS_HOOKS_HH
 
+#include <cstdint>
+
+namespace sdv {
+namespace obs {
+
+/** Pack a vector-register incarnation (any {reg, gen} pair, such as
+ *  VecRegRef) and an optional cause code into one trace-event
+ *  argument: reg, then the low 16 generation bits from bit 16, then
+ *  the cause from bit 32. */
+template <typename Ref>
+std::uint64_t
+packVreg(const Ref &ref, unsigned cause = 0)
+{
+    return std::uint64_t(ref.reg) |
+           (std::uint64_t(ref.gen & 0xffffu) << 16) |
+           (std::uint64_t(cause) << 32);
+}
+
+} // namespace obs
+} // namespace sdv
+
 #ifdef SDV_OBS
 
 #include "obs/trace.hh"

@@ -15,16 +15,18 @@ IntervalTelemetry::IntervalTelemetry(Cycle interval)
 }
 
 void
+IntervalTelemetry::rebase(Core &core, Cycle now)
+{
+    prevCycle_ = now;
+    prevCore_ = core.stats();
+    prevValFallbacks_ = core.engine().stats().lateValidationFallbacks;
+}
+
+void
 IntervalTelemetry::begin(Core &core)
 {
-    const CoreStats &cs = core.stats();
-    prev_.cycle = core.cycle();
-    prev_.insts = cs.committedInsts;
-    prev_.fetchStallCycles = cs.fetchStallCycles;
-    prev_.fetchStallValWaitCycles = cs.fetchStallValWaitCycles;
-    prev_.validations = cs.committedValidations;
-    prev_.valFallbacks = core.engine().stats().lateValidationFallbacks;
-    next_ = (prev_.cycle / interval_ + 1) * interval_;
+    rebase(core, core.cycle());
+    next_ = (prevCycle_ / interval_ + 1) * interval_;
     samples_.clear();
 }
 
@@ -34,24 +36,18 @@ IntervalTelemetry::capture(Core &core, Cycle now)
     const CoreStats &cs = core.stats();
     const VecRegFile &vrf = core.engine().vrf();
     TelemetrySample s;
-    s.startCycle = prev_.cycle;
+    s.startCycle = prevCycle_;
     s.endCycle = now;
-    s.insts = cs.committedInsts - prev_.insts;
-    s.fetchStallCycles = cs.fetchStallCycles - prev_.fetchStallCycles;
+    s.insts = cs.committedInsts - prevCore_.committedInsts;
+    s.fetchStallCycles = cs.fetchStallCycles - prevCore_.fetchStallCycles;
     s.fetchStallValWaitCycles =
-        cs.fetchStallValWaitCycles - prev_.fetchStallValWaitCycles;
-    s.validations = cs.committedValidations - prev_.validations;
+        cs.fetchStallValWaitCycles - prevCore_.fetchStallValWaitCycles;
+    s.validations = cs.committedValidations - prevCore_.committedValidations;
     s.valFallbacks = core.engine().stats().lateValidationFallbacks -
-                     prev_.valFallbacks;
+                     prevValFallbacks_;
     s.liveVregs = vrf.numRegs() - vrf.numFree();
     samples_.push_back(s);
-
-    prev_.cycle = now;
-    prev_.insts = cs.committedInsts;
-    prev_.fetchStallCycles = cs.fetchStallCycles;
-    prev_.fetchStallValWaitCycles = cs.fetchStallValWaitCycles;
-    prev_.validations = cs.committedValidations;
-    prev_.valFallbacks = core.engine().stats().lateValidationFallbacks;
+    rebase(core, now);
 }
 
 void
@@ -67,7 +63,7 @@ IntervalTelemetry::sample(Core &core)
 void
 IntervalTelemetry::finish(Core &core)
 {
-    if (core.cycle() > prev_.cycle)
+    if (core.cycle() > prevCycle_)
         capture(core, core.cycle());
 }
 

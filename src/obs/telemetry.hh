@@ -20,10 +20,9 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "core/core.hh"
 
 namespace sdv {
-
-class Core;
 
 namespace obs {
 
@@ -82,17 +81,12 @@ class IntervalTelemetry
     /** Record the delta since the previous snapshot ending at @p now. */
     void capture(Core &core, Cycle now);
 
-    struct Snapshot
-    {
-        Cycle cycle = 0;
-        std::uint64_t insts = 0;
-        std::uint64_t fetchStallCycles = 0;
-        std::uint64_t fetchStallValWaitCycles = 0;
-        std::uint64_t validations = 0;
-        std::uint64_t valFallbacks = 0;
-    };
+    /** Snapshot the core's counters as the next interval's base. */
+    void rebase(Core &core, Cycle now);
 
-    Snapshot prev_;
+    Cycle prevCycle_ = 0;
+    CoreStats prevCore_;
+    std::uint64_t prevValFallbacks_ = 0; ///< EngineStats counter
     Cycle interval_;
     Cycle next_;
     std::vector<TelemetrySample> samples_;

@@ -1,5 +1,7 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 #include "obs/telemetry.hh"
 
@@ -182,6 +184,27 @@ simulate(const CoreConfig &cfg, const Program &prog,
 {
     Simulator sim(cfg, prog);
     return sim.run(max_cycles, verify);
+}
+
+std::vector<std::string>
+statsDiff(const SimResult &a, const SimResult &b,
+          const std::vector<std::string> &except)
+{
+    std::vector<std::string> diff;
+    std::size_t excluded = 0;
+    forEachResultField(
+        [&](const StatName &n, const auto &x, const auto &y) {
+            std::string name = n.str();
+            if (std::find(except.begin(), except.end(), name) !=
+                except.end())
+                ++excluded;
+            else if (x != y)
+                diff.push_back(std::move(name));
+        },
+        a, b);
+    sdv_assert(excluded == except.size(),
+               "statsDiff: an exclusion names no field");
+    return diff;
 }
 
 } // namespace sdv

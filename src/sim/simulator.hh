@@ -11,7 +11,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
+#include <type_traits>
+#include <vector>
 
+#include "common/stat_list.hh"
 #include "core/core.hh"
 #include "sim/config.hh"
 
@@ -21,33 +25,42 @@ namespace obs {
 class IntervalTelemetry;
 } // namespace obs
 
+/** SimResult's run-level fields (list form of common/stat_list.hh):
+ *  statsDiff compares them; the sample fold derives them. */
+#define SDV_SIM_RESULT_RUN_FIELDS(F, A)                                     \
+    F(bool, finished)       /* HALT committed within the budget */          \
+    F(bool, verified)       /* committed stream matches functional */       \
+    /* True when an external abort flag (setAbortFlag) stopped the run      \
+     * — the sweep executor's job watchdog fired. Implies !finished. */     \
+    F(bool, timedOut)                                                       \
+    F(Cycle, cycles)                                                        \
+    F(std::uint64_t, insts)                                                 \
+    F(double, ipc)                                                          \
+                                                                            \
+    /* True when the result is an interval-sampled estimate: every          \
+     * counter is the weighted extrapolation of samplesMeasured             \
+     * measured regions (see sweep/sampling.hh), not an exact count. */     \
+    F(bool, sampled)                                                        \
+    F(unsigned, samplesMeasured)
+
+/** SimResult's counter blocks, B(type, member); each block declares
+ *  its own fields through its list (CoreStats: SDV_CORE_STATS, ...). */
+#define SDV_SIM_RESULT_BLOCKS(B)                                            \
+    B(CoreStats, core)                                                      \
+    B(EngineStats, engine)                                                  \
+    B(DatapathStats, datapath)                                              \
+    B(PortStats, ports)                                                     \
+    B(WideBusBreakdown, wideBus) /* Figure 13 */                            \
+    B(VecRegFateStats, fates)    /* Figure 15 */                            \
+    B(CacheStats, l1d)                                                      \
+    B(CacheStats, l1i)                                                      \
+    B(CacheStats, l2)
+
 /** Everything measured by one simulation. */
 struct SimResult
 {
-    bool finished = false;      ///< HALT committed within the budget
-    bool verified = false;      ///< committed stream matches functional
-    /** True when an external abort flag (setAbortFlag) stopped the run
-     *  — the sweep executor's job watchdog fired. Implies !finished. */
-    bool timedOut = false;
-    Cycle cycles = 0;
-    std::uint64_t insts = 0;
-    double ipc = 0.0;
-
-    /** True when the result is an interval-sampled estimate: every
-     *  counter is the weighted extrapolation of @ref samplesMeasured
-     *  measured regions (see sweep/sampling.hh), not an exact count. */
-    bool sampled = false;
-    unsigned samplesMeasured = 0;
-
-    CoreStats core;
-    EngineStats engine;
-    DatapathStats datapath;
-    PortStats ports;
-    WideBusBreakdown wideBus;   ///< Figure 13
-    VecRegFateStats fates;      ///< Figure 15
-    CacheStats l1d;
-    CacheStats l1i;
-    CacheStats l2;
+    SDV_SIM_RESULT_RUN_FIELDS(SDV_STAT_MEMBER, SDV_STAT_MEMBER_ARRAY)
+    SDV_SIM_RESULT_BLOCKS(SDV_STAT_MEMBER)
 
     /** Total L1D port requests (the paper's "memory requests"). */
     std::uint64_t
@@ -77,6 +90,45 @@ struct SimResult
                          double(core.postMispredictWindowInsts);
     }
 };
+
+/** forEachStat over every counter block of @p r (results side by
+ *  side), with StatName::block naming the SimResult member. */
+template <typename Fn, typename... R>
+    requires(std::is_same_v<std::remove_const_t<R>, SimResult> && ...)
+void
+forEachCounter(Fn &&fn, R &...r)
+{
+#define SDV_VISIT_BLOCK(type, name)                                         \
+    forEachStat(                                                            \
+        [&](StatName n, auto &...w) {                                       \
+            n.block = #name;                                                \
+            fn(n, w...);                                                    \
+        },                                                                  \
+        r.name...);
+    SDV_SIM_RESULT_BLOCKS(SDV_VISIT_BLOCK)
+#undef SDV_VISIT_BLOCK
+}
+
+/** Visit every field of @p s: the run-level fields (whose words are
+ *  bool, Cycle, double or unsigned), then forEachCounter. */
+template <typename Fn, typename... R>
+    requires(std::is_same_v<std::remove_const_t<R>, SimResult> && ...)
+void
+forEachResultField(Fn &&fn, R &...s)
+{
+    SDV_SIM_RESULT_RUN_FIELDS(SDV_STAT_VISIT, SDV_STAT_VISIT_ARRAY)
+    forEachCounter(fn, s...);
+}
+
+/**
+ * The identity oracle: @return the qualified names ("cycles",
+ * "fates.lifetimeHist[3]") of every listed field where @p a and @p b
+ * differ, in declaration order, except the names in @p except (each
+ * must name a field).
+ */
+std::vector<std::string>
+statsDiff(const SimResult &a, const SimResult &b,
+          const std::vector<std::string> &except = {});
 
 /** One-program, one-configuration simulation. */
 class Simulator

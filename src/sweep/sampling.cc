@@ -1,7 +1,5 @@
 #include "sweep/sampling.hh"
 
-#include <type_traits>
-
 #include "common/log.hh"
 #include "sweep/checkpoint.hh"
 
@@ -19,25 +17,6 @@ scaled(std::uint64_t v, std::uint64_t w, std::uint64_t m)
     const unsigned __int128 num =
         (unsigned __int128)v * w + m / 2;
     return std::uint64_t(num / m);
-}
-
-/**
- * Extrapolate one statistics block: dst += src * w / m per field. The
- * stats structs are flat all-u64 PODs (asserted), so they scale as
- * uint64 spans — adding a non-u64 field to one fails the static_assert
- * rather than silently mis-scaling.
- */
-template <typename T>
-void
-scaleAdd(T &dst, const T &src, std::uint64_t w, std::uint64_t m)
-{
-    static_assert(std::is_trivially_copyable_v<T> &&
-                      sizeof(T) % sizeof(std::uint64_t) == 0,
-                  "stats struct must be a flat array of u64 counters");
-    auto *d = reinterpret_cast<std::uint64_t *>(&dst);
-    auto *s = reinterpret_cast<const std::uint64_t *>(&src);
-    for (std::size_t i = 0; i < sizeof(T) / sizeof(std::uint64_t); ++i)
-        d[i] += scaled(s[i], w, m);
 }
 
 } // namespace
@@ -154,15 +133,11 @@ aggregateSamples(const SampleSet &set,
         agg.finished = agg.finished && r.finished;
         if (m == 0)
             continue;
-        scaleAdd(agg.core, r.core, w, m);
-        scaleAdd(agg.engine, r.engine, w, m);
-        scaleAdd(agg.datapath, r.datapath, w, m);
-        scaleAdd(agg.ports, r.ports, w, m);
-        scaleAdd(agg.wideBus, r.wideBus, w, m);
-        scaleAdd(agg.fates, r.fates, w, m);
-        scaleAdd(agg.l1d, r.l1d, w, m);
-        scaleAdd(agg.l1i, r.l1i, w, m);
-        scaleAdd(agg.l2, r.l2, w, m);
+        // Every listed counter word, array elements included.
+        forEachCounter(
+            [w, m](const StatName &, std::uint64_t &dst,
+                   const std::uint64_t &src) { dst += scaled(src, w, m); },
+            agg, r);
     }
     agg.cycles = agg.core.cycles;
     agg.insts = agg.core.committedInsts;

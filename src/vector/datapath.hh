@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/stat_list.hh"
 #include "isa/opcodes.hh"
 #include "mem/hierarchy.hh"
 #include "mem/port.hh"
@@ -92,20 +93,25 @@ struct VecInstance
     }
 };
 
+/** DatapathStats field list (see common/stat_list.hh). */
+#define SDV_DATAPATH_STATS(F, A)                                            \
+    F(std::uint64_t, instancesSpawned)                                      \
+    F(std::uint64_t, loadInstances)                                         \
+    F(std::uint64_t, arithInstances)                                        \
+    F(std::uint64_t, instancesWithNonzeroSrcOffset) /* Figure 9 */          \
+    F(std::uint64_t, elemsComputed)                                         \
+    F(std::uint64_t, elemLoadAccessesIssued) /* new port accesses */        \
+    F(std::uint64_t, elemLoadsRideAlong)     /* served by merge */          \
+    F(std::uint64_t, elemLoadPortStalls)                                    \
+    F(std::uint64_t, elemLoadMshrStalls)                                    \
+    F(std::uint64_t, instancesAborted)
+
 /** Statistics of the vector datapath. */
 struct DatapathStats
 {
-    std::uint64_t instancesSpawned = 0;
-    std::uint64_t loadInstances = 0;
-    std::uint64_t arithInstances = 0;
-    std::uint64_t instancesWithNonzeroSrcOffset = 0; ///< Figure 9
-    std::uint64_t elemsComputed = 0;
-    std::uint64_t elemLoadAccessesIssued = 0; ///< new port accesses
-    std::uint64_t elemLoadsRideAlong = 0;     ///< served by merge
-    std::uint64_t elemLoadPortStalls = 0;
-    std::uint64_t elemLoadMshrStalls = 0;
-    std::uint64_t instancesAborted = 0;
+    SDV_DATAPATH_STATS(SDV_STAT_MEMBER, SDV_STAT_MEMBER_ARRAY)
 };
+SDV_STATS_BLOCK(DatapathStats, SDV_DATAPATH_STATS);
 
 /**
  * Owns and advances all vector instances. The core calls tick() once

@@ -5,18 +5,6 @@
 
 namespace sdv {
 
-namespace {
-
-/** Pack reg/gen (and release cause) into one trace-event argument. */
-std::uint64_t
-packVregArg(VecRegId reg, std::uint32_t gen, unsigned cause = 0)
-{
-    return std::uint64_t(reg) | (std::uint64_t(gen & 0xffffu) << 16) |
-           (std::uint64_t(cause) << 32);
-}
-
-} // namespace
-
 VecRegFile::VecRegFile(unsigned num_regs, unsigned vlen)
     : numRegs_(num_regs), vlen_(vlen), freeCount_(num_regs),
       regs_(num_regs)
@@ -101,7 +89,7 @@ VecRegFile::allocate(Addr mrbb)
     setMaskBit(liveMask_, id, true);
     markSweepCandidate(id); // a degenerate incarnation may free at once
     SDV_OBS_EVENT(recorder_, obs::EventKind::VregAlloc, mrbb,
-                  packVregArg(id, r.gen));
+                  obs::packVreg(VecRegRef{id, r.gen}));
     return VecRegRef{id, r.gen};
 }
 
@@ -332,7 +320,7 @@ VecRegFile::release(Reg &reg, ReleaseCause cause)
     setMaskBit(freeMask_, id, true);
     setMaskBit(liveMask_, id, false);
     SDV_OBS_EVENT(recorder_, obs::EventKind::VregRelease, 0,
-                  packVregArg(id, reg.gen, unsigned(cause)), age);
+                  obs::packVreg(VecRegRef{id, reg.gen}, unsigned(cause)), age);
 }
 
 bool
@@ -422,7 +410,7 @@ VecRegFile::releaseSquashed(VecRegRef ref)
     setMaskBit(freeMask_, ref.reg, true);
     setMaskBit(liveMask_, ref.reg, false);
     SDV_OBS_EVENT(recorder_, obs::EventKind::VregRelease, 0,
-                  packVregArg(ref.reg, r.gen, /*cause=*/4),
+                  obs::packVreg(VecRegRef{ref.reg, r.gen}, /*cause=*/4),
                   clock_ - r.allocCycle);
 }
 

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/bitutils.hh"
+#include "common/stat_list.hh"
 #include "common/types.hh"
 #include "mem/port.hh"
 
@@ -56,37 +57,40 @@ struct VecRegRef
     bool operator==(const VecRegRef &o) const = default;
 };
 
+/** VecRegFateStats field list (see common/stat_list.hh). */
+#define SDV_VREG_FATE_STATS(F, A)                                           \
+    F(std::uint64_t, regsReleased)                                          \
+    F(std::uint64_t, elemsComputedUsed)    /* R and V at release */         \
+    F(std::uint64_t, elemsComputedNotUsed) /* R but never validated */      \
+    F(std::uint64_t, elemsNotComputed)     /* never became R */             \
+                                                                            \
+    /* --- steady-state attribution (PR 5) --- */                           \
+    F(std::uint64_t, lifetimeCycles) /* sum of alloc->release ages */       \
+    F(std::uint64_t, releasedCond1)  /* all elements computed+freed */      \
+    F(std::uint64_t, releasedCond2)  /* MRBB condition under pressure */    \
+    F(std::uint64_t, releasedKilled) /* killed, validations drained */      \
+    F(std::uint64_t, releasedBulk)   /* releaseAll (quiesce/finalize) */    \
+                                                                            \
+    /* --- adversarial accounting (PR 6) ---                                \
+     * Fault-marked elements whose register released before a               \
+     * validation examined them: the corrupted value died unconsumed.       \
+     * Injected = direct bit flips; taint = values computed from a          \
+     * marked source. Together with the engine's detect/benign              \
+     * counters these account for every mark exactly once. */               \
+    F(std::uint64_t, faultInjectedVanished)                                 \
+    F(std::uint64_t, faultTaintVanished)                                    \
+                                                                            \
+    /* Register lifetime histogram (alloc->release cycles), log-ish         \
+     * buckets: <8, <32, <128, <512, <2K, <8K, <32K, rest. Feeds the        \
+     * per-config transient-exposure report of the timing-channel           \
+     * experiments. */                                                      \
+    A(std::uint64_t, lifetimeHist, 8)
+
 /** Figure 15 ledger: average element fates at register release, plus
- *  the PR 5 lifetime/release-cause attribution counters (all u64 so
- *  the sampled-sweep aggregation can scale the struct as a flat span). */
+ *  the PR 5 lifetime/release-cause attribution counters. */
 struct VecRegFateStats
 {
-    std::uint64_t regsReleased = 0;
-    std::uint64_t elemsComputedUsed = 0;    ///< R and V at release
-    std::uint64_t elemsComputedNotUsed = 0; ///< R but never validated
-    std::uint64_t elemsNotComputed = 0;     ///< never became R
-
-    // --- steady-state attribution (PR 5) ---------------------------------
-    std::uint64_t lifetimeCycles = 0;   ///< sum of alloc->release ages
-    std::uint64_t releasedCond1 = 0;    ///< all elements computed+freed
-    std::uint64_t releasedCond2 = 0;    ///< MRBB condition under pressure
-    std::uint64_t releasedKilled = 0;   ///< killed, validations drained
-    std::uint64_t releasedBulk = 0;     ///< releaseAll (quiesce/finalize)
-
-    // --- adversarial accounting (PR 6) -----------------------------------
-    /** Fault-marked elements whose register released before a
-     *  validation examined them: the corrupted value died unconsumed.
-     *  Injected = direct bit flips; taint = values computed from a
-     *  marked source. Together with the engine's detect/benign
-     *  counters these account for every mark exactly once. */
-    std::uint64_t faultInjectedVanished = 0;
-    std::uint64_t faultTaintVanished = 0;
-
-    /** Register lifetime histogram (alloc->release cycles), log-ish
-     *  buckets: <8, <32, <128, <512, <2K, <8K, <32K, rest. Feeds the
-     *  per-config transient-exposure report of the timing-channel
-     *  experiments. */
-    std::uint64_t lifetimeHist[8] = {};
+    SDV_VREG_FATE_STATS(SDV_STAT_MEMBER, SDV_STAT_MEMBER_ARRAY)
 
     double
     avgComputedUsed() const
@@ -110,6 +114,7 @@ struct VecRegFateStats
         return regsReleased ? double(lifetimeCycles) / regsReleased : 0;
     }
 };
+SDV_STATS_BLOCK(VecRegFateStats, SDV_VREG_FATE_STATS);
 
 /** One register-file wake event: element @p elem of @p ref became
  *  ready, or (elem == allElems) the incarnation died (killed or

@@ -7,29 +7,15 @@
  * machine shapes.
  */
 
-#include <deque>
-
 #include <gtest/gtest.h>
 
 #include "isa/builder.hh"
 #include "sim/simulator.hh"
 
+#include "test_support.hh"
+
 namespace sdv {
 namespace {
-
-std::deque<Program> &
-keeper()
-{
-    static std::deque<Program> progs;
-    return progs;
-}
-
-const Program &
-keep(Program &&p)
-{
-    keeper().push_back(std::move(p));
-    return keeper().back();
-}
 
 /** sum over a[0..n): classic stride-1 vectorizable loop. */
 const Program &

@@ -2,137 +2,44 @@
  * @file
  * Equivalence tests of the event-skipping simulation clock: for every
  * tier-1 workload, an event-skipping run and a ticking reference run
- * must produce bit-identical statistics and committed-stream hashes.
- * Also covers the decoded-program cache (invalidation on patch) and
- * the Figure-13 ledger folding memory bound.
+ * must agree on every listed statistic but the clock's two
+ * meta-counters (statsDiff) and on committed-stream hashes. Also
+ * covers the decoded-program cache (invalidation on patch) and the
+ * Figure-13 ledger folding memory bound.
  */
-
-#include <deque>
 
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
+#include "test_support.hh"
+
 namespace sdv {
 namespace {
 
-std::deque<Program> &
-keeper()
-{
-    static std::deque<Program> progs;
-    return progs;
-}
-
-const Program &
-keep(Program &&p)
-{
-    keeper().push_back(std::move(p));
-    return keeper().back();
-}
-
-/** Every stat both runs must agree on, in one comparable bundle. */
-struct RunDigest
-{
-    SimResult res;
-    std::uint64_t commitHash = 0;
-};
-
 RunDigest
-runOnce(CoreConfig cfg, const Program &prog, bool event_skip, bool verify)
+runOnce(CoreConfig cfg, const Program &prog, bool event_skip, bool verify,
+        std::uint64_t max_cycles = 50'000'000)
 {
     cfg.eventSkip = event_skip;
-    Simulator sim(cfg, prog);
-    RunDigest d;
-    d.res = sim.run(50'000'000, verify);
-    d.commitHash = sim.core().commitPcHash();
-    return d;
+    return runDigest(cfg, prog, verify, max_cycles);
 }
 
-/** Assert full equality of the stats the figures are built from. The
- *  event-skip meta-counters (eventSkipJumps / eventSkippedCycles) are
- *  deliberately excluded: they describe how the cycles were simulated,
- *  and are the only fields allowed to differ. */
+/** Assert equality of every listed statistic and the commit hash. */
 void
 expectIdentical(const RunDigest &skip, const RunDigest &ref,
                 const std::string &label)
 {
     SCOPED_TRACE(label);
-    EXPECT_EQ(skip.res.finished, ref.res.finished);
-    EXPECT_EQ(skip.res.cycles, ref.res.cycles);
-    EXPECT_EQ(skip.res.insts, ref.res.insts);
-    EXPECT_DOUBLE_EQ(skip.res.ipc, ref.res.ipc);
+    EXPECT_EQ(statsDiff(skip.res, ref.res, skipMetaCounters),
+              std::vector<std::string>{});
     EXPECT_EQ(skip.commitHash, ref.commitHash);
-
-    const CoreStats &a = skip.res.core;
-    const CoreStats &b = ref.res.core;
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.committedInsts, b.committedInsts);
-    EXPECT_EQ(a.committedLoads, b.committedLoads);
-    EXPECT_EQ(a.committedStores, b.committedStores);
-    EXPECT_EQ(a.committedBranches, b.committedBranches);
-    EXPECT_EQ(a.committedValidations, b.committedValidations);
-    EXPECT_EQ(a.committedLoadValidations, b.committedLoadValidations);
-    EXPECT_EQ(a.scalarLoadAccesses, b.scalarLoadAccesses);
-    EXPECT_EQ(a.loadForwards, b.loadForwards);
-    EXPECT_EQ(a.branchMispredicts, b.branchMispredicts);
-    EXPECT_EQ(a.fetchStallCycles, b.fetchStallCycles);
-    EXPECT_EQ(a.fetchStallValWaitCycles, b.fetchStallValWaitCycles);
-    EXPECT_EQ(a.decodeBlockCycles, b.decodeBlockCycles);
-    EXPECT_EQ(a.robFullStalls, b.robFullStalls);
-    EXPECT_EQ(a.lsqFullStalls, b.lsqFullStalls);
-    EXPECT_EQ(a.storeConflictSquashes, b.storeConflictSquashes);
-    EXPECT_EQ(a.squashedInsts, b.squashedInsts);
-    // Figure 10.
-    EXPECT_EQ(a.postMispredictWindowInsts, b.postMispredictWindowInsts);
-    EXPECT_EQ(a.postMispredictReused, b.postMispredictReused);
-
-    // Figure 13 and the port statistics feeding Figure 12.
-    EXPECT_EQ(skip.res.ports.cycles, ref.res.ports.cycles);
-    EXPECT_EQ(skip.res.ports.busyPortCycles, ref.res.ports.busyPortCycles);
-    EXPECT_EQ(skip.res.ports.readAccesses, ref.res.ports.readAccesses);
-    EXPECT_EQ(skip.res.ports.writeAccesses, ref.res.ports.writeAccesses);
-    EXPECT_EQ(skip.res.ports.wordsServed, ref.res.ports.wordsServed);
-    EXPECT_EQ(skip.res.wideBus.totalReads, ref.res.wideBus.totalReads);
-    for (unsigned n = 0; n <= 4; ++n)
-        EXPECT_EQ(skip.res.wideBus.usefulWords[n],
-                  ref.res.wideBus.usefulWords[n]);
-
-    // Engine / datapath / register-fate (Figures 9, 14, 15).
-    EXPECT_EQ(skip.res.engine.loadSpawns, ref.res.engine.loadSpawns);
-    EXPECT_EQ(skip.res.engine.loadValidations,
-              ref.res.engine.loadValidations);
-    EXPECT_EQ(skip.res.engine.arithValidations,
-              ref.res.engine.arithValidations);
-    EXPECT_EQ(skip.res.engine.storeRangeConflicts,
-              ref.res.engine.storeRangeConflicts);
-    EXPECT_EQ(skip.res.engine.lateValidationFallbacks,
-              ref.res.engine.lateValidationFallbacks);
     EXPECT_EQ(skip.res.engine.validationValueMismatches, 0u);
-    EXPECT_EQ(skip.res.datapath.elemsComputed, ref.res.datapath.elemsComputed);
-    EXPECT_EQ(skip.res.datapath.elemLoadAccessesIssued,
-              ref.res.datapath.elemLoadAccessesIssued);
-    EXPECT_EQ(skip.res.fates.regsReleased, ref.res.fates.regsReleased);
-    EXPECT_EQ(skip.res.fates.elemsComputedUsed,
-              ref.res.fates.elemsComputedUsed);
-    EXPECT_EQ(skip.res.fates.lifetimeCycles,
-              ref.res.fates.lifetimeCycles);
-    EXPECT_EQ(skip.res.fates.releasedCond1, ref.res.fates.releasedCond1);
-    EXPECT_EQ(skip.res.fates.releasedCond2, ref.res.fates.releasedCond2);
-    EXPECT_EQ(skip.res.fates.releasedKilled,
-              ref.res.fates.releasedKilled);
-
-    // Cache hierarchy.
-    EXPECT_EQ(skip.res.l1d.accesses(), ref.res.l1d.accesses());
-    EXPECT_EQ(skip.res.l1d.misses(), ref.res.l1d.misses());
-    EXPECT_EQ(skip.res.l1i.accesses(), ref.res.l1i.accesses());
-    EXPECT_EQ(skip.res.l1i.misses(), ref.res.l1i.misses());
-    EXPECT_EQ(skip.res.l2.accesses(), ref.res.l2.accesses());
-    EXPECT_EQ(skip.res.l2.misses(), ref.res.l2.misses());
 
     // The reference must not have skipped anything.
-    EXPECT_EQ(b.eventSkippedCycles, 0u);
-    EXPECT_EQ(b.eventSkipJumps, 0u);
+    EXPECT_EQ(ref.res.core.eventSkippedCycles, 0u);
+    EXPECT_EQ(ref.res.core.eventSkipJumps, 0u);
 }
 
 TEST(EventSkip, BitIdenticalOnEveryTier1Workload)
@@ -182,9 +89,6 @@ TEST(EventSkip, BlockedDecodeWindowsSkipAndStayBitIdentical)
         const RunDigest ref = runOnce(cfg, prog, false, false);
         ASSERT_TRUE(ref.res.finished);
         expectIdentical(skip, ref, w.name + "/blocking");
-        EXPECT_EQ(skip.res.engine.decodeBlockEvents,
-                  ref.res.engine.decodeBlockEvents)
-            << w.name;
         total_blocked += ref.res.core.decodeBlockCycles;
         total_skipped += skip.res.core.eventSkippedCycles;
     }
@@ -201,19 +105,9 @@ TEST(EventSkip, BudgetLimitedRunMatchesTickingExactly)
     const Program &prog = keep(buildWorkload("compress", 1));
     const CoreConfig cfg = makeConfig(4, 1, BusMode::WideBusSdv);
     for (std::uint64_t budget : {500ULL, 5'000ULL, 20'000ULL}) {
-        CoreConfig c = cfg;
-        c.eventSkip = true;
-        Simulator a(c, prog);
-        const SimResult ra = a.run(budget, /*verify=*/false);
-        c.eventSkip = false;
-        Simulator b(c, prog);
-        const SimResult rb = b.run(budget, /*verify=*/false);
-        EXPECT_EQ(ra.finished, rb.finished) << budget;
-        EXPECT_EQ(ra.cycles, rb.cycles) << budget;
-        EXPECT_EQ(ra.insts, rb.insts) << budget;
-        EXPECT_EQ(ra.ports.cycles, rb.ports.cycles) << budget;
-        EXPECT_EQ(a.core().commitPcHash(), b.core().commitPcHash())
-            << budget;
+        const RunDigest skip = runOnce(cfg, prog, true, false, budget);
+        const RunDigest ref = runOnce(cfg, prog, false, false, budget);
+        expectIdentical(skip, ref, "budget " + std::to_string(budget));
     }
 }
 

@@ -10,8 +10,15 @@
  *  - interval-sampled estimates reproduce the tiled full-detail run
  *    within 2% IPC on all 12 workloads at scale 4 / L2 footprints;
  *  - sampled sweeps are byte-identical serial vs parallel, and fall
- *    back to exact full runs when a program is too short to sample.
+ *    back to exact full runs when a program is too short to sample;
+ *  - the statistics field lists drive statsDiff and the sample fold
+ *    over every listed field, array elements included.
  */
+
+#include <set>
+#include <string>
+#include <type_traits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -237,8 +244,8 @@ TEST(Sampling, TooShortProgramsFallBackToExactFullRuns)
     ASSERT_EQ(exact.size(), fallback.size());
     EXPECT_FALSE(fallback[0].res.sampled);
     EXPECT_EQ(fallback[0].samples, 0u);
-    EXPECT_EQ(exact[0].res.cycles, fallback[0].res.cycles);
-    EXPECT_EQ(exact[0].res.insts, fallback[0].res.insts);
+    EXPECT_EQ(statsDiff(exact[0].res, fallback[0].res),
+              std::vector<std::string>{});
     EXPECT_EQ(exact[0].commitHash, fallback[0].commitHash);
 }
 
@@ -329,6 +336,71 @@ TEST(Sampling, AggregationWeightsAreExactForIdentityScaling)
     EXPECT_EQ(agg.insts, 1000u);
     EXPECT_EQ(agg.l1d.readMisses, 37u);
     EXPECT_DOUBLE_EQ(agg.ipc, 2.5);
+}
+
+// --- the statistics field lists ---------------------------------------------
+
+TEST(StatRegistry, StatsDiffNamesExactlyTheBumpedField)
+{
+    // For every listed field (array elements one by one), a copy with
+    // only that field bumped differs from the original in exactly that
+    // one qualified name.
+    const SimResult base;
+    std::vector<std::string> names;
+    forEachResultField(
+        [&](const StatName &n, const auto &) { names.push_back(n.str()); },
+        base);
+    const std::set<std::string> unique(names.begin(), names.end());
+    EXPECT_EQ(unique.size(), names.size());
+    EXPECT_TRUE(unique.count("fates.lifetimeHist[7]"));
+    EXPECT_TRUE(unique.count("core.quiesceTransientElems"));
+
+    for (std::size_t k = 0; k < names.size(); ++k) {
+        SimResult bumped = base; // every field zero or false
+        std::size_t i = 0;
+        forEachResultField(
+            [&](const StatName &, auto &w) {
+                if (i++ == k)
+                    w = std::remove_cvref_t<decltype(w)>(w + 1);
+            },
+            bumped);
+        EXPECT_EQ(statsDiff(base, bumped),
+                  std::vector<std::string>{names[k]});
+        EXPECT_EQ(statsDiff(base, bumped, {names[k]}),
+                  std::vector<std::string>{});
+    }
+}
+
+TEST(StatRegistry, SampleFoldScalesEveryCounter)
+{
+    // Every counter word gets a distinct value in each of two samples;
+    // region weights are exact multiples of the measured instruction
+    // counts, so each folded word must be exactly 2 * a + 3 * b.
+    SimResult r0, r1;
+    std::uint64_t v = 1;
+    forEachCounter(
+        [&](const StatName &, std::uint64_t &a, std::uint64_t &b) {
+            a = 1000 + v;
+            b = 100'000 + 7 * v;
+            ++v;
+        },
+        r0, r1);
+    sweep::SampleSet set;
+    sweep::SampleCheckpoint sc;
+    sc.regionInsts = 2 * r0.core.committedInsts;
+    set.samples.push_back(sc);
+    sc.regionInsts = 3 * r1.core.committedInsts;
+    set.samples.push_back(sc);
+
+    const SimResult agg = sweep::aggregateSamples(set, {r0, r1});
+    forEachCounter(
+        [](const StatName &n, const std::uint64_t &g, const std::uint64_t &a,
+           const std::uint64_t &b) { EXPECT_EQ(g, 2 * a + 3 * b) << n.str(); },
+        agg, r0, r1);
+    EXPECT_TRUE(agg.sampled);
+    EXPECT_EQ(agg.samplesMeasured, 2u);
+    EXPECT_EQ(agg.cycles, agg.core.cycles);
+    EXPECT_EQ(agg.insts, agg.core.committedInsts);
 }
 
 TEST(Sampling, PlanRegistryListsHeadlineGrid)

@@ -13,7 +13,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <deque>
 
 #include <gtest/gtest.h>
 
@@ -23,22 +22,10 @@
 #include "sweep/fuzz.hh"
 #include "workloads/workload.hh"
 
+#include "test_support.hh"
+
 namespace sdv {
 namespace {
-
-std::deque<Program> &
-keeper()
-{
-    static std::deque<Program> progs;
-    return progs;
-}
-
-const Program &
-keep(Program &&p)
-{
-    keeper().push_back(std::move(p));
-    return keeper().back();
-}
 
 // --- checkpoint-loader fuzzing ---------------------------------------------
 

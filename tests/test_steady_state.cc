@@ -22,30 +22,15 @@
  * (d) bit-identity of the event-skipping clock under the new modes.
  */
 
-#include <deque>
-
 #include <gtest/gtest.h>
 
 #include "sim/simulator.hh"
 #include "workloads/workload.hh"
 
+#include "test_support.hh"
+
 namespace sdv {
 namespace {
-
-std::deque<Program> &
-keeper()
-{
-    static std::deque<Program> progs;
-    return progs;
-}
-
-const Program &
-keep(Program &&p)
-{
-    p.predecodeAll();
-    keeper().push_back(std::move(p));
-    return keeper().back();
-}
 
 struct GapResult
 {
@@ -149,29 +134,18 @@ TEST(SteadyState, NewModesStayBitIdenticalUnderEventSkipping)
                 cfg.engine.eagerChainLoads = eager;
 
                 cfg.eventSkip = true;
-                Simulator a(cfg, prog);
-                const SimResult ra = a.run(200'000'000, false, qi);
-
+                const RunDigest a =
+                    runDigest(cfg, prog, false, 200'000'000, qi);
                 cfg.eventSkip = false;
-                Simulator b(cfg, prog);
-                const SimResult rb = b.run(200'000'000, false, qi);
+                const RunDigest b =
+                    runDigest(cfg, prog, false, 200'000'000, qi);
 
                 SCOPED_TRACE(w + (eager ? "/eager" : "/default") +
                              (qi ? "/quiesced" : "/continuous"));
-                EXPECT_EQ(ra.cycles, rb.cycles);
-                EXPECT_EQ(ra.insts, rb.insts);
-                EXPECT_EQ(ra.core.fetchStallCycles,
-                          rb.core.fetchStallCycles);
-                EXPECT_EQ(ra.core.fetchStallValWaitCycles,
-                          rb.core.fetchStallValWaitCycles);
-                EXPECT_EQ(ra.core.committedValidations,
-                          rb.core.committedValidations);
-                EXPECT_EQ(ra.fates.regsReleased, rb.fates.regsReleased);
-                EXPECT_EQ(ra.fates.lifetimeCycles,
-                          rb.fates.lifetimeCycles);
-                EXPECT_EQ(a.core().commitPcHash(),
-                          b.core().commitPcHash());
-                EXPECT_EQ(rb.core.eventSkippedCycles, 0u);
+                EXPECT_EQ(statsDiff(a.res, b.res, skipMetaCounters),
+                          std::vector<std::string>{});
+                EXPECT_EQ(a.commitHash, b.commitHash);
+                EXPECT_EQ(b.res.core.eventSkippedCycles, 0u);
             }
         }
     }
