@@ -2,16 +2,19 @@
  * @file
  * google-benchmark micro-benchmarks of the simulator substrate itself:
  * cache tag lookups, predictor updates, Table of Loads observations,
- * VRMT lookups, sparse-memory access and whole-core simulation speed.
+ * VRMT lookups, sparse-memory access, the checkpoint image checksum
+ * and whole-core simulation speed.
  */
 
 #include <array>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "arch/executor.hh"
 #include "arch/memory.hh"
 #include "branch/gshare.hh"
+#include "common/serialize.hh"
 #include "harness.hh"
 #include "mem/cache.hh"
 #include "vector/elem_kernels.hh"
@@ -164,6 +167,21 @@ BM_SparseMemoryRead64(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SparseMemoryRead64);
+
+void
+BM_ImageChecksum(benchmark::State &state)
+{
+    // The integrity trailer every sample restore verifies, over the
+    // mean fig11 --footprint mem checkpoint image (about 1.6 MB).
+    std::vector<std::uint8_t> image(1600 * 1024);
+    for (std::size_t i = 0; i < image.size(); ++i)
+        image[i] = std::uint8_t(i * 131 + (i >> 9));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(checksum64(image.data(), image.size()));
+    state.SetBytesProcessed(std::int64_t(state.iterations()) *
+                            std::int64_t(image.size()));
+}
+BENCHMARK(BM_ImageChecksum);
 
 void
 BM_TraceDispatch(benchmark::State &state)

@@ -176,8 +176,7 @@ configIdentityHash(const CoreConfig &cfg)
     ser.u32(e.fault.demoteThreshold);
     ser.u64(e.fault.reenableWindow);
 
-    const std::vector<std::uint8_t> buf = ser.finish();
-    return fnv1a(buf.data(), buf.size());
+    return fnv1a(ser.data(), ser.size());
 }
 
 StorageCost

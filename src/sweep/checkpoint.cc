@@ -14,9 +14,6 @@ namespace sweep {
 
 namespace {
 
-constexpr char magic[8] = {'S', 'D', 'V', 'C', 'K', 'P', 'T', '1'};
-constexpr std::uint32_t version = 1;
-
 /** Serialize the geometry the warm state depends on. Restoring into a
  *  machine whose warm structures are shaped differently is rejected
  *  up front with a readable error instead of failing mid-restore. */
@@ -76,7 +73,7 @@ setError(std::string *error, const char *msg)
     return false;
 }
 
-/** Shared header walk: checksum, magic, version and geometry; the
+/** Shared header walk: magic, version, checksum and geometry; the
  *  image's program identity hash comes back via @p imageProgram for
  *  the caller to judge. On success @p des is positioned at the
  *  warm-state payload. */
@@ -84,17 +81,18 @@ bool
 walkHeader(Deserializer &des, const CoreConfig &cfg,
            std::uint64_t *imageProgram, std::string *error)
 {
+    switch (Checkpoint::readHeader(des, Checkpoint::imageFormat)) {
+    case Checkpoint::LoadStatus::Ok:
+        break;
+    case Checkpoint::LoadStatus::Stale:
+        return setError(error, "unsupported checkpoint version");
+    default:
+        return setError(error, "not a checkpoint image (bad magic)");
+    }
     if (!des.verifyChecksum())
         return setError(error,
                         "checkpoint image truncated or corrupted "
                         "(checksum mismatch)");
-
-    char m[sizeof(magic)];
-    if (!des.bytes(m, sizeof(m)) ||
-        std::memcmp(m, magic, sizeof(magic)) != 0)
-        return setError(error, "not a checkpoint image (bad magic)");
-    if (des.u32() != version)
-        return setError(error, "unsupported checkpoint version");
     const std::uint64_t prog = des.u64();
     if (imageProgram)
         *imageProgram = prog;
@@ -107,12 +105,28 @@ walkHeader(Deserializer &des, const CoreConfig &cfg,
 
 } // namespace
 
+const Checkpoint::Format Checkpoint::imageFormat = {
+    {'S', 'D', 'V', 'C', 'K', 'P', 'T', '1'}, 2};
+
+Checkpoint::LoadStatus
+Checkpoint::readHeader(Deserializer &des, const Format &fmt)
+{
+    char m[sizeof(fmt.magic)];
+    if (!des.bytes(m, sizeof(m)) ||
+        std::memcmp(m, fmt.magic, sizeof(m)) != 0)
+        return LoadStatus::Corrupt;
+    const std::uint32_t v = des.u32();
+    if (!des.ok())
+        return LoadStatus::Corrupt;
+    return v == fmt.version ? LoadStatus::Ok : LoadStatus::Stale;
+}
+
 std::vector<std::uint8_t>
 Checkpoint::capture(Simulator &sim)
 {
     Serializer ser;
-    ser.bytes(magic, sizeof(magic));
-    ser.u32(version);
+    ser.bytes(imageFormat.magic, sizeof(imageFormat.magic));
+    ser.u32(imageFormat.version);
     ser.u64(sim.program().identityHash());
     writeGeometry(ser, sim.core().config());
     sim.core().saveWarmState(ser);
@@ -181,7 +195,8 @@ Checkpoint::save(const std::string &path,
 }
 
 Checkpoint::LoadStatus
-Checkpoint::load(const std::string &path, std::vector<std::uint8_t> &out)
+Checkpoint::load(const std::string &path, std::vector<std::uint8_t> &out,
+                 const Format &fmt)
 {
     FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
@@ -200,11 +215,15 @@ Checkpoint::load(const std::string &path, std::vector<std::uint8_t> &out)
     std::fclose(f);
     if (!ok)
         return LoadStatus::Corrupt;
-    // A short or bit-rotted image fails its trailing FNV-1a checksum;
-    // report it as corruption here so callers can tell poisoning from
-    // a plain cold cache (atomic save() makes torn files unreachable
-    // through this API, so a Corrupt result is worth a warning).
+    // An older format version is sealed with another checksum, so
+    // judge the header first: the file is stale, not damaged.
     Deserializer des(out);
+    if (readHeader(des, fmt) == LoadStatus::Stale)
+        return LoadStatus::Stale;
+    // A short or bit-rotted image fails its trailing checksum; report
+    // it as corruption here so callers can tell poisoning from a plain
+    // cold cache (atomic save() makes torn files unreachable through
+    // this API, so a Corrupt result is worth a warning).
     if (!des.verifyChecksum())
         return LoadStatus::Corrupt;
     return LoadStatus::Ok;

@@ -14,10 +14,13 @@
  * which is what makes restore-then-run bit-identical to
  * warmup-then-continue — see tests/test_sweep.cc.
  *
- * The byte image is integrity-checked (magic, version, FNV-1a
- * checksum) and bound to the program identity and the component
+ * The byte image is integrity-checked (magic, version, checksum64
+ * trailer) and bound to the program identity and the component
  * geometry, so truncated, corrupted or mismatched snapshots are
- * rejected before any simulator state is touched.
+ * rejected before any simulator state is touched. The magic and
+ * version are read before the checksum, so a file written in an older
+ * format version (version 1 sealed with FNV-1a) reads as stale rather
+ * than corrupt.
  */
 
 #ifndef SDV_SWEEP_CHECKPOINT_HH
@@ -30,12 +33,26 @@
 #include "sim/simulator.hh"
 
 namespace sdv {
+
+class Deserializer;
+
 namespace sweep {
 
 /** Checkpoint capture / restore entry points. */
 class Checkpoint
 {
   public:
+    /** What opens every sealed file of one kind: an 8-byte magic
+     *  naming the kind, then its u32 format version. */
+    struct Format
+    {
+        char magic[8];
+        std::uint32_t version;
+    };
+
+    /** Checkpoint images. Version 2 seals with checksum64. */
+    static const Format imageFormat;
+
     /**
      * Serialize @p sim's warm state. The simulator must sit at a
      * measurement boundary (right after Simulator::warmup); capture
@@ -69,7 +86,7 @@ class Checkpoint
 
     /**
      * Like validate(), but without a Simulator: checks integrity
-     * (checksum, magic, version) and geometry compatibility against
+     * (magic, version, checksum) and geometry compatibility against
      * @p cfg, and reports the image's program identity hash via
      * @p programHash for the caller to compare. jobForks() decides job
      * shapes this way, so the sweep server never builds programs.
@@ -89,17 +106,29 @@ class Checkpoint
                      const std::vector<std::uint8_t> &bytes);
 
     /** Outcome of load(): distinguishes an absent cache file (normal
-     *  cold-cache path) from a present-but-damaged one (torn write,
+     *  cold-cache path) and one left by another format version (quiet
+     *  recapture) from a present-but-damaged one (torn write,
      *  truncation, bit rot) so poisoning is visible to callers. */
-    enum class LoadStatus { Ok, Missing, Corrupt };
+    enum class LoadStatus { Ok, Missing, Stale, Corrupt };
 
-    /** Read a checkpoint image from @p path and verify its trailing
-     *  checksum. @retval Missing when the file does not exist,
+    /**
+     * Read @p des's leading magic and version against @p fmt.
+     * @retval Ok for @p fmt's magic and version, Stale for its magic
+     * with another version, Corrupt otherwise (another magic, or too
+     * short to hold a header).
+     */
+    static LoadStatus readHeader(Deserializer &des, const Format &fmt);
+
+    /** Read a sealed file from @p path and verify its trailing
+     *  checksum. @retval Missing when the file does not exist, Stale
+     *  when it opens with @p fmt's magic but another version (checked
+     *  before the checksum, which older versions compute differently),
      *  Corrupt when it exists but cannot be read back as an intact
      *  image (header/program/geometry checks still happen later, in
      *  restore()/validate()). */
     static LoadStatus load(const std::string &path,
-                           std::vector<std::uint8_t> &out);
+                           std::vector<std::uint8_t> &out,
+                           const Format &fmt = imageFormat);
 };
 
 } // namespace sweep

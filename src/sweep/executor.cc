@@ -176,9 +176,11 @@ captureOrReuse(const SweepPlan &plan, const ExecOptions &opt,
         s.captured = true;
         s.set.samples.resize(1);
         const auto st = Checkpoint::load(path, s.set.samples[0].bytes);
-        if (st == Checkpoint::LoadStatus::Ok) {
-            if (jobForks(s, warmConfig(plan, opt, workload)))
-                return false;
+        if (st == Checkpoint::LoadStatus::Ok &&
+            jobForks(s, warmConfig(plan, opt, workload)))
+            return false;
+        if (st == Checkpoint::LoadStatus::Ok ||
+            st == Checkpoint::LoadStatus::Stale) {
             notes.push_back(
                 {"cached checkpoint " + path + " is stale; recapturing"});
         } else if (st == Checkpoint::LoadStatus::Corrupt) {

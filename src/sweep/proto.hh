@@ -3,7 +3,7 @@
  * Wire protocol of the sweep work-server (`sdv_sweep --serve`):
  * length-prefixed frames over a stream socket, each carrying one typed
  * message serialized with the checkpoint layer's Serializer (so every
- * payload ends in an FNV-1a checksum and truncated or corrupted frames
+ * payload ends in a checksum64 trailer and truncated or corrupted frames
  * are rejected before any field is trusted).
  *
  * Frame layout: u32 payload length (little-endian) | u8 message type |

@@ -30,7 +30,8 @@ constexpr unsigned kMaxUnitAttempts = 3;
 
 /** Identity of the worker binary (size, mtime, inode): a snapshot
  *  captured by a different build must never be reused, so this folds
- *  into every cache key. */
+ *  into every cache key. Hashes the payload, not the integrity
+ *  trailer, so a checksum change never moves the key. */
 std::uint64_t
 binaryFingerprint(const struct stat &st)
 {
@@ -38,8 +39,7 @@ binaryFingerprint(const struct stat &st)
     ser.u64(std::uint64_t(st.st_size));
     ser.i64(st.st_mtime);
     ser.u64(std::uint64_t(st.st_ino));
-    const std::vector<std::uint8_t> buf = ser.finish();
-    return fnv1a(buf.data(), buf.size());
+    return fnv1a(ser.data(), ser.size());
 }
 
 /** Per-request collation state, shared between the client handler

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -17,8 +16,9 @@ namespace sweep {
 
 namespace {
 
-constexpr char magic[8] = {'S', 'D', 'V', 'S', 'N', 'A', 'P', '1'};
-constexpr std::uint32_t version = 1;
+/** Snapshot-set containers. Version 2 seals with checksum64. */
+constexpr Checkpoint::Format setFormat = {
+    {'S', 'D', 'V', 'S', 'N', 'A', 'P', '1'}, 2};
 
 } // namespace
 
@@ -26,8 +26,8 @@ bool
 saveSnapshotSet(const std::string &path, const SnapshotSet &s)
 {
     Serializer ser;
-    ser.bytes(magic, sizeof(magic));
-    ser.u32(version);
+    ser.bytes(setFormat.magic, sizeof(setFormat.magic));
+    ser.u32(setFormat.version);
     ser.u64(s.programHash);
     ser.b(s.sampled);
     ser.b(s.captured);
@@ -42,7 +42,7 @@ saveSnapshotSet(const std::string &path, const SnapshotSet &s)
         ser.bytes(sc.bytes.data(), sc.bytes.size());
     }
     // Checkpoint::save publishes atomically (temp + rename) and the
-    // Serializer seals with the FNV-1a trailer Checkpoint::load
+    // Serializer seals with the checksum64 trailer Checkpoint::load
     // verifies — the container rides the same torn-write guarantees
     // as the images it holds.
     return Checkpoint::save(path, ser.finish());
@@ -52,17 +52,14 @@ Checkpoint::LoadStatus
 loadSnapshotSet(const std::string &path, SnapshotSet &out)
 {
     std::vector<std::uint8_t> bytes;
-    const auto st = Checkpoint::load(path, bytes);
+    const auto st = Checkpoint::load(path, bytes, setFormat);
     if (st != Checkpoint::LoadStatus::Ok)
         return st;
 
-    Deserializer des(bytes);
-    if (!des.verifyChecksum())
-        return Checkpoint::LoadStatus::Corrupt;
-    char m[sizeof(magic)];
-    if (!des.bytes(m, sizeof(m)) ||
-        std::memcmp(m, magic, sizeof(magic)) != 0 ||
-        des.u32() != version)
+    // load() verified the checksum (and the version, for this magic):
+    // read the payload window only.
+    Deserializer des(bytes.data(), bytes.size() - Serializer::trailerBytes);
+    if (Checkpoint::readHeader(des, setFormat) != Checkpoint::LoadStatus::Ok)
         return Checkpoint::LoadStatus::Corrupt;
     out.programHash = des.u64();
     out.sampled = des.b();

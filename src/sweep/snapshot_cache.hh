@@ -7,7 +7,7 @@
  * (sim/config.hh: configIdentityHash) and a fingerprint of the worker
  * binary — persisted as one container file per key under the cache
  * directory, published atomically (Checkpoint::save's temp + rename)
- * and integrity-checked on load (FNV-1a trailer).
+ * and integrity-checked on load (checksum64 trailer).
  *
  * Concurrent clients requesting the same grid share one warmup via
  * single-flight deduplication: the first acquire() of a key runs the
@@ -39,7 +39,8 @@ namespace sweep {
 /** Serialize + atomically publish @p s at @p path. */
 bool saveSnapshotSet(const std::string &path, const SnapshotSet &s);
 
-/** Load @p path (Missing / Corrupt exactly as Checkpoint::load). */
+/** Load @p path (Missing / Stale / Corrupt exactly as
+ *  Checkpoint::load; a stale set is recaptured without a warning). */
 Checkpoint::LoadStatus loadSnapshotSet(const std::string &path,
                                        SnapshotSet &out);
 

@@ -3,11 +3,14 @@
  * Unit tests for the hot-path kernel structures: sparse memory
  * cross-page / unaligned / bulk accesses (with the MRU page cache), the
  * pending-store overlay (interval early-exits and word-at-a-time
- * masking) replayed against a naive byte-wise reference model, and the
- * pooled ROB ring buffer.
+ * masking) replayed against a naive byte-wise reference model, the
+ * pooled ROB ring buffer, and the checksum64 integrity trailer every
+ * checkpoint image, snapshot-set file and proto frame is sealed with.
  */
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,7 @@
 #include "common/histogram.hh"
 #include "common/random.hh"
 #include "common/ring_pool.hh"
+#include "common/serialize.hh"
 #include "core/lsq.hh"
 #include "core/store_overlay.hh"
 #include "vector/vreg_file.hh"
@@ -612,6 +616,115 @@ TEST(VrmtEpoch, InvalidateAllIsAnEpochBumpNotASweep)
     EXPECT_EQ(vrmt.occupancy(), 0u);
     vrmt.install(e);
     EXPECT_EQ(vrmt.occupancy(), 1u);
+}
+
+// --- checksum64 ------------------------------------------------------------
+
+/** A sealed image over a 4096 + 13-byte payload of random words: 128
+ *  four-lane blocks, then one word for the single-word loop and a
+ *  5-byte tail. */
+std::vector<std::uint8_t>
+sealedProbe()
+{
+    Random rng(2002);
+    Serializer ser;
+    for (unsigned i = 0; i < 4096 / 8; ++i)
+        ser.u64(rng.next());
+    for (unsigned i = 0; i < 13; ++i)
+        ser.u8(std::uint8_t(rng.next()));
+    return ser.finish();
+}
+
+bool
+verifies(const std::vector<std::uint8_t> &image)
+{
+    Deserializer des(image);
+    return des.verifyChecksum();
+}
+
+TEST(Checksum64, KnownAnswersPinTheFormat)
+{
+    // Sealed files on disk carry these values: a change here is a
+    // format change (bump the checkpoint and snapshot-set versions).
+    EXPECT_EQ(checksum64(nullptr, 0), 0xEF46DB3751D8E999ULL);
+    const std::uint8_t abc[] = {'a', 'b', 'c'};
+    EXPECT_EQ(checksum64(abc, sizeof(abc)), 0xAC7CCCB2225A37CFULL);
+    std::vector<std::uint8_t> ramp(4096 + 13);
+    for (std::size_t i = 0; i < ramp.size(); ++i)
+        ramp[i] = std::uint8_t(i * 7 + 1);
+    EXPECT_EQ(checksum64(ramp.data(), ramp.size()), 0x8FC5142266298216ULL);
+    // The trailer is the little-endian checksum of the payload.
+    const std::vector<std::uint8_t> image = sealedProbe();
+    const std::size_t payload = image.size() - Serializer::trailerBytes;
+    EXPECT_EQ(loadLe64(image.data() + payload),
+              checksum64(image.data(), payload));
+    EXPECT_TRUE(verifies(image));
+}
+
+TEST(Checksum64, EverySingleBitFlipIsDetected)
+{
+    const std::vector<std::uint8_t> image = sealedProbe();
+    ASSERT_EQ(image.size(), 4096u + 13u + Serializer::trailerBytes);
+    std::vector<std::uint8_t> bad = image;
+    for (std::size_t i = 0; i < bad.size(); ++i)
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            bad[i] ^= std::uint8_t(1u << bit);
+            ASSERT_FALSE(verifies(bad)) << "byte " << i << " bit " << bit;
+            bad[i] = image[i];
+        }
+}
+
+TEST(Checksum64, EveryCorruptionConfinedToOneWordIsDetected)
+{
+    // The single-word guarantee beyond single bits: random garbage
+    // over any subset of one aligned word, lane region and tail.
+    const std::vector<std::uint8_t> image = sealedProbe();
+    const std::size_t payload = image.size() - Serializer::trailerBytes;
+    Random rng(11);
+    std::vector<std::uint8_t> bad = image;
+    for (std::size_t w = 0; w < payload; w += 8)
+        for (unsigned trial = 0; trial < 16; ++trial) {
+            const std::size_t end = std::min(w + 8, payload);
+            bool changed = false;
+            for (std::size_t i = w; i < end; ++i)
+                if (rng.chancePercent(50)) {
+                    bad[i] = std::uint8_t(rng.next());
+                    changed |= bad[i] != image[i];
+                }
+            if (changed)
+                ASSERT_FALSE(verifies(bad)) << "word at " << w;
+            std::copy(image.begin() + w, image.begin() + end,
+                      bad.begin() + w);
+        }
+}
+
+TEST(Checksum64, EveryTruncationIsDetected)
+{
+    const std::vector<std::uint8_t> image = sealedProbe();
+    for (std::size_t len = 0; len < image.size(); ++len) {
+        const std::vector<std::uint8_t> cut(image.begin(),
+                                            image.begin() + len);
+        ASSERT_FALSE(verifies(cut)) << "kept " << len;
+    }
+}
+
+TEST(Checksum64, SwappedWordsAreDetected)
+{
+    // Adjacent words sit on different lanes; words four apart share
+    // one. Either swap moves data without changing any byte's value,
+    // which a sum or xor of words would miss.
+    const std::vector<std::uint8_t> image = sealedProbe();
+    const std::size_t words =
+        (image.size() - Serializer::trailerBytes) / 8;
+    for (std::size_t stride : {std::size_t(1), std::size_t(4)})
+        for (std::size_t i = 0; i + stride < words; ++i) {
+            std::vector<std::uint8_t> bad = image;
+            std::swap_ranges(bad.begin() + 8 * i, bad.begin() + 8 * i + 8,
+                             bad.begin() + 8 * (i + stride));
+            ASSERT_NE(bad, image);
+            ASSERT_FALSE(verifies(bad))
+                << "words " << i << " and " << i + stride;
+        }
 }
 
 } // namespace

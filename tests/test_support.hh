@@ -3,16 +3,18 @@
  * Helpers shared by the test suites: program lifetime for simulators
  * that hold a program reference, one run's comparable digest, and the
  * one exclusion list of the statistics identity oracle (statsDiff,
- * sim/simulator.hh).
+ * sim/simulator.hh), and a format-version-1 rewriter for sealed files.
  */
 
 #ifndef SDV_TESTS_TEST_SUPPORT_HH
 #define SDV_TESTS_TEST_SUPPORT_HH
 
+#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
 
+#include "common/serialize.hh"
 #include "sim/simulator.hh"
 
 namespace sdv {
@@ -52,6 +54,21 @@ inline const std::vector<std::string> skipMetaCounters = {
     "core.eventSkipJumps",     // jumps taken; a ticking run takes none
     "core.eventSkippedCycles", // cycles jumped over instead of ticked
 };
+
+/** @return @p image, a sealed file of the current format (8-byte
+ *  magic, u32 version, ..., checksum64 trailer), rewritten as format
+ *  version 1 wrote it: version field 1, sealed with FNV-1a. */
+inline std::vector<std::uint8_t>
+asFormatVersion1(std::vector<std::uint8_t> image)
+{
+    image.resize(image.size() - Serializer::trailerBytes);
+    const std::uint8_t v1[4] = {1, 0, 0, 0};
+    std::memcpy(image.data() + 8, v1, sizeof(v1));
+    const std::uint64_t sum = fnv1a(image.data(), image.size());
+    for (unsigned i = 0; i < 8; ++i)
+        image.push_back(std::uint8_t(sum >> (8 * i)));
+    return image;
+}
 
 } // namespace sdv
 

@@ -10,6 +10,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -308,6 +311,61 @@ TEST(SweepExecutor, SampledSweepCountsOneCapturePerUsableWorkload)
     EXPECT_EQ(metrics.checkpointCaptures, usable);
     EXPECT_EQ(metrics.checkpointCaptureBytes, bytes);
     EXPECT_GT(metrics.checkpointRestores, 0u);
+}
+
+TEST(SweepExecutor, FormatVersion1CheckpointIsStaleNotCorrupt)
+{
+    // A --checkpoint-dir file left by a build that sealed images with
+    // FNV-1a (format version 1) fails today's checksum, but it is an
+    // older format, not damage: it takes the quiet stale path, is
+    // recaptured, and the results equal a cold capture's.
+    sweep::PlanOptions popt;
+    popt.quick = true;
+    sweep::SweepPlan plan = sweep::buildPlan("fig13", popt);
+    const std::string workload = plan.jobs.front().workload;
+    std::erase_if(plan.jobs, [&](const sweep::SweepJob &j) {
+        return j.workload != workload;
+    });
+
+    sweep::ExecOptions opt;
+    opt.checkpoint = true;
+    opt.warmupInsts = warmupInsts;
+    opt.verify = true;
+    opt.jobs = 1;
+    const std::string cold = sweep::resultsJson(sweep::runPlan(plan, opt));
+
+    const Program &prog = keep(buildWorkload(workload, plan.scale));
+    Simulator warm(sweep::warmConfig(plan, opt, workload), prog);
+    ASSERT_TRUE(warm.warmup(warmupInsts));
+    const std::vector<std::uint8_t> v1 =
+        asFormatVersion1(sweep::Checkpoint::capture(warm));
+
+    char tmpl[] = "/tmp/sdvstaleXXXXXX";
+    const char *dir = ::mkdtemp(tmpl);
+    ASSERT_NE(dir, nullptr);
+    const std::string path = std::string(dir) + "/" + workload + ".s" +
+                             std::to_string(plan.scale) + ".w" +
+                             std::to_string(warmupInsts) + ".ckpt";
+    ASSERT_TRUE(sweep::Checkpoint::save(path, v1));
+    std::vector<std::uint8_t> bytes;
+    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Stale,
+              sweep::Checkpoint::load(path, bytes));
+
+    opt.checkpointDir = dir;
+    testing::internal::CaptureStderr();
+    const std::string reused =
+        sweep::resultsJson(sweep::runPlan(plan, opt));
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find(path + " is stale; recapturing"), std::string::npos)
+        << err;
+    EXPECT_EQ(err.find("corrupt"), std::string::npos) << err;
+    EXPECT_EQ(reused, cold);
+
+    // The recapture replaced the file with a current image.
+    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Ok,
+              sweep::Checkpoint::load(path, bytes));
+    std::remove(path.c_str());
+    ::rmdir(dir);
 }
 
 // --- program sharing -------------------------------------------------------

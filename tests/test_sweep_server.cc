@@ -36,6 +36,8 @@
 #include "sweep/server.hh"
 #include "sweep/snapshot_cache.hh"
 
+#include "test_support.hh"
+
 namespace sdv {
 namespace {
 
@@ -350,6 +352,57 @@ TEST(SweepCheckpoint, LoadDistinguishesMissingFromCorrupt)
     ASSERT_NE(std::fgets(buf, sizeof(buf), ls), nullptr);
     ::pclose(ls);
     EXPECT_EQ(0, std::atoi(buf)); // no *.tmp.* litter
+    const std::string cleanup = "rm -rf " + std::string(dir);
+    [[maybe_unused]] const int rc = std::system(cleanup.c_str());
+}
+
+TEST(SweepCheckpoint, OlderFormatVersionIsStaleNotCorrupt)
+{
+    // Files sealed by format version 1 (FNV-1a trailer) fail today's
+    // checksum; the header is read first, so they load as Stale and
+    // the snapshot cache recaptures them without a corruption warning.
+    char tmpl[] = "/tmp/sdvverXXXXXX";
+    const char *dir = ::mkdtemp(tmpl);
+    ASSERT_NE(dir, nullptr);
+    sweep::SnapshotCache cache(dir);
+    const std::string path = cache.pathFor("old-key");
+
+    sweep::SnapshotSet set;
+    set.captured = false;
+    set.set.samples.resize(1);
+    ASSERT_TRUE(sweep::saveSnapshotSet(path, set));
+    std::vector<std::uint8_t> current;
+    ASSERT_EQ(sweep::Checkpoint::LoadStatus::Ok,
+              sweep::loadSnapshotSet(path, set));
+    ASSERT_EQ(sweep::Checkpoint::LoadStatus::Ok,
+              sweep::Checkpoint::load(path, current));
+    ASSERT_TRUE(sweep::Checkpoint::save(path, asFormatVersion1(current)));
+    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Stale,
+              sweep::loadSnapshotSet(path, set));
+
+    // A damaged current-version file is still corrupt.
+    std::vector<std::uint8_t> damaged = current;
+    damaged[damaged.size() / 2] ^= 0x10;
+    ASSERT_TRUE(sweep::Checkpoint::save(path + ".bad", damaged));
+    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Corrupt,
+              sweep::loadSnapshotSet(path + ".bad", set));
+
+    int captures = 0;
+    auto capture = [&](const std::string &p, std::string *) {
+        ++captures;
+        sweep::SnapshotSet s;
+        s.set.samples.resize(1);
+        return sweep::saveSnapshotSet(p, s);
+    };
+    testing::internal::CaptureStderr();
+    std::string err;
+    EXPECT_NE(nullptr, cache.acquire("old-key", capture, &err)) << err;
+    const std::string warnings = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(1, captures);
+    EXPECT_EQ(1u, cache.stats().misses);
+    EXPECT_EQ(warnings.find("corrupt"), std::string::npos) << warnings;
+    EXPECT_EQ(sweep::Checkpoint::LoadStatus::Ok,
+              sweep::loadSnapshotSet(path, set));
     const std::string cleanup = "rm -rf " + std::string(dir);
     [[maybe_unused]] const int rc = std::system(cleanup.c_str());
 }
